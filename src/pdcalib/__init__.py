@@ -20,11 +20,11 @@ from .benchmarks import (PTConfig, ScaledComparison, build_comparison, central_t
 from .betareg import RegressionModel, fit, predict_mean
 from .posterior import GradePosterior, PortfolioPosterior, compute_posterior
 from .statdist import (BetaParams, RngStream, beta_cdf, beta_mean_var, binomial_tail_le,
-                       log_gamma, sample_beta, solve_monotone)
+                       sample_beta, solve_monotone)
 
 __all__ = [
     "__version__",
-    "BetaParams", "RngStream", "log_gamma", "beta_mean_var", "sample_beta",
+    "BetaParams", "RngStream", "beta_mean_var", "sample_beta",
     "beta_cdf", "binomial_tail_le", "solve_monotone",
     "RatingScale", "GradeCount", "CohortSnapshot", "BinningMap",
     "parse_cohort_csv", "write_cohort_csv", "apply_binning", "observed_default_rates",

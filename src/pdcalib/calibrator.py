@@ -16,8 +16,8 @@ One such converged sweep yields a fitted shape pair and a calibrated mean
 per grade.  Repeating the sweep ``k_reps`` times from the raw posteriors,
 each repetition on its own random stream, yields a sampling distribution
 per grade from which the point estimate, median and confidence bounds are
-reported.  Results are bit-reproducible for a fixed (seed, config, data)
-regardless of how many workers execute the repetitions.
+reported.  Results are bit-reproducible for a fixed (seed, config, data,
+numpy version) regardless of how many workers execute the repetitions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .posterior import PortfolioPosterior
-from .statdist import BetaParams, RngStream, log_gamma, sample_beta
+from .statdist import BetaParams, RngStream, sample_beta
 
 __all__ = [
     "CalibrationConfig",
@@ -296,7 +296,7 @@ def _beta_pdf_grid(x: np.ndarray, p: BetaParams) -> np.ndarray:
     a, b = p.alpha, p.beta
     if a < 1.0 or b < 1.0:
         raise ValueError("quadrature oracle requires both shape parameters >= 1")
-    ln_norm = float(log_gamma(a + b)) - float(log_gamma(a)) - float(log_gamma(b))
+    ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         left = np.where(x > 0.0, (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)),
                         0.0 if a == 1.0 else -np.inf)

@@ -25,6 +25,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .benchmarks import (PTConfig, align_external, build_comparison, parse_external_csv,
                          pluto_tasche)
@@ -139,6 +141,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     manifest = {
         "command": "calibrate",
         "tool_version": __version__,
+        "numpy_version": np.__version__,
         "input_path": str(input_path),
         "input_digest": _digest(input_path),
         "period": snapshot.period,

@@ -1,14 +1,14 @@
 """Statistical kernels shared by the whole package.
 
-Everything in this module is self-contained on top of numpy array
-arithmetic: log-gamma through the Lanczos approximation, the regularized
-incomplete beta function through a Lentz-style continued fraction, beta
-variates through the Marsaglia-Tsang gamma sampler driven by counter-based
-Philox streams, binomial tail probabilities through the incomplete-beta
-identity, and a bisection root finder for monotone targets.
+Beta variates come from numpy's ``Generator`` on counter-based Philox
+streams and log-gamma from ``math.lgamma``.  On top of numpy array
+arithmetic the module adds the regularized incomplete beta function
+through a Lentz-style continued fraction, binomial tail probabilities
+through the incomplete-beta identity, and a bisection root finder for
+monotone targets.
 
-``log_gamma`` and ``beta_cdf`` accept scalars or numpy arrays; the sampling
-helpers return arrays when asked for more than one draw.
+``beta_cdf`` accepts scalars or numpy arrays; ``sample_beta`` returns an
+array of draws.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 __all__ = [
     "BetaParams",
     "RngStream",
     "BracketError",
-    "log_gamma",
     "beta_mean_var",
     "sample_beta",
     "beta_cdf",
@@ -31,25 +30,7 @@ __all__ = [
     "solve_monotone",
 ]
 
-_TWO53 = float(1 << 53)
 _U64_MAX = (1 << 64) - 1
-
-# Lanczos approximation, g = 7, 9 terms. Relative error stays within a few
-# ulp for any positive argument, which is the best binary64 can represent
-# once |ln GAMMA(x)| grows past ~1e4.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297
 
 
 class BracketError(ValueError):
@@ -73,17 +54,17 @@ class BetaParams:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-class RngStream:
+class RngStream(Generator):
     """Reproducible, partitionable source of random variates.
 
-    A stream is keyed by ``(seed, stream_id)`` on a counter-based Philox
-    generator: the same pair always replays the same sequence, and distinct
-    stream ids give statistically independent sequences no matter how many
-    draws each one makes.  A stream holds mutable position state and must
-    be owned by exactly one consumer at a time; creating one is cheap.
+    A numpy ``Generator`` keyed by ``(seed, stream_id)`` on a counter-based
+    Philox generator: the same pair always replays the same sequence, and
+    distinct stream ids give statistically independent sequences no matter
+    how many draws each one makes.  A stream holds mutable position state
+    and must be owned by exactly one consumer at a time; creating one is
+    cheap.  For a fixed key the variates also depend on the numpy version,
+    which does not promise stable distribution streams across releases.
     """
-
-    __slots__ = ("seed", "stream_id", "_bits")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         seed = int(seed)
@@ -92,47 +73,9 @@ class RngStream:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         if not 0 <= stream_id <= _U64_MAX:
             raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
-        self.seed = seed
-        self.stream_id = stream_id
         # 128-bit Philox key: seed in the high word, stream id in the low
         # word, so the (seed, stream_id) -> key map is injective.
-        self._bits = Philox(key=(seed << 64) | stream_id)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on the open interval (0, 1)."""
-        if n <= 0:
-            return np.empty(0, dtype=np.float64)
-        raw = self._bits.random_raw(n)
-        # Top 53 bits, centered on the cell midpoint: never exactly 0 or 1.
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO53
-
-    def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normal variates (Box-Muller pairs)."""
-        if n <= 0:
-            return np.empty(0, dtype=np.float64)
-        half = (n + 1) // 2
-        u1 = self.uniforms(half)
-        u2 = self.uniforms(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for positive ``x`` (scalar or array).
-
-    Lanczos approximation; accurate to a few ulp across the supported range.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("log_gamma requires strictly positive finite arguments")
-    z = arr - 1.0
-    series = np.full_like(z, _LANCZOS_COEFFS[0])
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series = series + coeff / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(series)
-    return out if out.ndim else float(out)
+        super().__init__(Philox(key=(seed << 64) | stream_id))
 
 
 def beta_mean_var(p: BetaParams) -> tuple[float, float]:
@@ -143,56 +86,17 @@ def beta_mean_var(p: BetaParams) -> tuple[float, float]:
     return mean, variance
 
 
-def _gamma_variates(shape: float, rng: RngStream, n: int) -> np.ndarray:
-    """Gamma(shape, 1) draws via Marsaglia-Tsang rejection.
+def sample_beta(p: BetaParams, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` Beta(alpha, beta) variates from ``rng``.
 
-    Shapes below 1 are boosted: draw Gamma(shape + 1) and multiply by
-    U**(1/shape).
+    Values are clipped into the open interval in the rare event a draw
+    rounds to 0 or 1.
     """
-    if shape <= 0.0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    boost = shape < 1.0
-    a = shape + 1.0 if boost else shape
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    while filled < n:
-        want = n - filled
-        batch = max(int(want * 1.1) + 16, 64)
-        x = rng.normals(batch)
-        v = 1.0 + c * x
-        v = v * v * v
-        u = rng.uniforms(batch)
-        ok = v > 0.0
-        log_v = np.log(np.where(ok, v, 1.0))
-        ok &= np.log(u) < 0.5 * x * x + d - d * v + d * log_v
-        accepted = d * v[ok]
-        take = min(accepted.size, want)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-    if boost:
-        out *= rng.uniforms(n) ** (1.0 / shape)
-    return out
-
-
-def sample_beta(p: BetaParams, rng: RngStream, size: int | None = None):
-    """Beta(alpha, beta) variates from ``rng``.
-
-    Uses the two-gamma ratio construction, which stays robust for the very
-    lopsided shapes this package produces (alpha of 1 against beta in the
-    thousands).  Returns a scalar when ``size`` is None, else an array of
-    ``size`` draws.  Values are clipped into the open interval in the rare
-    event the ratio underflows.
-    """
-    n = 1 if size is None else int(size)
-    if n < 0:
+    if size < 0:
         raise ValueError("size must be nonnegative")
-    x = _gamma_variates(p.alpha, rng, n)
-    y = _gamma_variates(p.beta, rng, n)
-    out = x / (x + y)
+    out = rng.beta(p.alpha, p.beta, size)
     np.clip(out, 5e-324, 1.0 - 2.0 ** -53, out=out)
-    return float(out[0]) if size is None else out
+    return out
 
 
 def _beta_cont_frac(a: float, b: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
@@ -238,7 +142,7 @@ def beta_cdf(x, p: BetaParams):
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("beta_cdf argument must lie in [0, 1]")
     a, b = p.alpha, p.beta
-    ln_beta = float(log_gamma(a)) + float(log_gamma(b)) - float(log_gamma(a + b))
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     out = np.empty_like(arr)
     at_zero = arr <= 0.0
     at_one = arr >= 1.0

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdcalib.cli import main
@@ -51,6 +52,7 @@ class TestCalibrateCommand:
         assert manifest["command"] == "calibrate"
         assert manifest["period"] == "T1"
         assert manifest["n_sim"] == 1000 and manifest["k_reps"] == 4
+        assert manifest["numpy_version"] == np.__version__
         assert "acceptance_rate_pair_1" in manifest and "input_digest" in manifest
         assert (out / "calibration.csv").read_text().startswith("# manifest: manifest.json\n")
 

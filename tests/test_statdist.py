@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdcalib.statdist import (BetaParams, BracketError, RngStream, beta_cdf, beta_mean_var,
-                              binomial_tail_le, log_gamma, sample_beta, solve_monotone)
+                              binomial_tail_le, sample_beta, solve_monotone)
 
 
 class TestBetaParams:
@@ -17,44 +17,6 @@ class TestBetaParams:
     def test_rejects_bad_shapes(self, alpha, beta):
         with pytest.raises(ValueError):
             BetaParams(alpha, beta)
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("x,expected", [
-        (1.0, 0.0),                 # 0! = 1
-        (2.0, 0.0),                 # 1! = 1
-        (5.0, math.log(24.0)),      # 4! = 24
-        (11.0, math.log(3628800.0)),
-    ])
-    def test_known_values(self, x, expected):
-        assert log_gamma(x) == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-    def test_recurrence(self):
-        # ln G(x+1) = ln G(x) + ln x over [0.5, 100]
-        x = np.linspace(0.5, 100.0, 4000)
-        lhs = log_gamma(x + 1.0)
-        rhs = log_gamma(x) + np.log(x)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_accuracy_against_reference(self):
-        # 1e-12 absolute where representable; a few ulp relative where
-        # |ln G| itself is too large for 1e-12 absolute in binary64.
-        from scipy.special import gammaln
-        x = np.concatenate([np.geomspace(1e-3, 1e6, 500), np.linspace(0.5, 50.0, 500)])
-        err = np.abs(log_gamma(x) - gammaln(x))
-        tol = np.maximum(1e-12, 8.0 * np.finfo(float).eps * np.abs(gammaln(x)))
-        assert np.all(err <= tol)
-
-    def test_array_and_scalar_agree(self):
-        xs = np.array([0.25, 1.0, 3.7, 88.0])
-        vec = log_gamma(xs)
-        for x, v in zip(xs, vec):
-            assert log_gamma(float(x)) == v
 
 
 class TestBetaMeanVar:
@@ -74,28 +36,19 @@ class TestBetaMeanVar:
 
 class TestRngStream:
     def test_same_key_is_bit_identical(self):
-        a = RngStream(123, 7).uniforms(10_000)
-        b = RngStream(123, 7).uniforms(10_000)
+        a = RngStream(123, 7).random(10_000)
+        b = RngStream(123, 7).random(10_000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(123, 0).uniforms(1000)
-        b = RngStream(123, 1).uniforms(1000)
+        a = RngStream(123, 0).random(1000)
+        b = RngStream(123, 1).random(1000)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = RngStream(1, 0).uniforms(1000)
-        b = RngStream(2, 0).uniforms(1000)
+        a = RngStream(1, 0).random(1000)
+        b = RngStream(2, 0).random(1000)
         assert not np.array_equal(a, b)
-
-    def test_uniforms_open_interval(self):
-        u = RngStream(5, 5).uniforms(100_000)
-        assert u.min() > 0.0 and u.max() < 1.0
-
-    def test_normals_moments(self):
-        z = RngStream(11, 0).normals(200_000)
-        assert abs(z.mean()) < 0.01
-        assert abs(z.std() - 1.0) < 0.01
 
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (1 << 64, 0), (0, 1 << 64)])
     def test_key_bounds(self, seed, stream):
@@ -109,23 +62,20 @@ class TestSampleBeta:
         assert draws.min() > 0.0 and draws.max() < 1.0
         assert draws.mean() == pytest.approx(0.5, abs=0.002)
 
-    def test_heavy_cohort_mean(self):
-        mean, var = beta_mean_var(BetaParams(61, 1411))
-        draws = sample_beta(BetaParams(61, 1411), RngStream(42, 1), size=1_000_000)
+    # empty-cohort prior, zero-default grade, fixture grade, prudent-report scale
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 1815), (61, 1411), (50001, 950001)])
+    def test_heavy_cohort_mean(self, alpha, beta):
+        mean, var = beta_mean_var(BetaParams(alpha, beta))
+        draws = sample_beta(BetaParams(alpha, beta), RngStream(42, 1), size=1_000_000)
         se = math.sqrt(var / 1_000_000)
         assert abs(draws.mean() - mean) < 4.0 * se
+        assert draws.min() > 0.0 and draws.max() < 1.0
 
     def test_shape_below_one(self):
         draws = sample_beta(BetaParams(0.5, 0.5), RngStream(42, 2), size=200_000)
         assert draws.min() > 0.0 and draws.max() < 1.0
         se = math.sqrt(0.125 / 200_000)
         assert abs(draws.mean() - 0.5) < 4.0 * se
-
-    def test_scalar_draw_reproducible(self):
-        x = sample_beta(BetaParams(2, 29), RngStream(7, 3))
-        y = sample_beta(BetaParams(2, 29), RngStream(7, 3))
-        assert isinstance(x, float) and 0.0 < x < 1.0
-        assert x == y
 
     def test_matches_cdf_by_ks(self):
         # distributional consistency between the sampler and beta_cdf:
@@ -157,7 +107,7 @@ class TestBetaCdf:
         # 1e7-point trapezoid of the density as an independent oracle
         p = BetaParams(3, 12)
         x = np.linspace(0.0, 0.2, 10_000_001)
-        log_norm = log_gamma(15.0) - log_gamma(3.0) - log_gamma(12.0)
+        log_norm = math.lgamma(15.0) - math.lgamma(3.0) - math.lgamma(12.0)
         density = np.zeros_like(x)
         density[1:] = np.exp(log_norm + 2.0 * np.log(x[1:]) + 11.0 * np.log1p(-x[1:]))
         oracle = np.trapezoid(density, x)
