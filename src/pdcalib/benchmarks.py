@@ -3,7 +3,10 @@
 Implements the Pluto & Tasche (2005) most-prudent estimation: grade i is
 assigned the largest default probability still compatible, at the chosen
 confidence level, with the defaults observed in the pooled cohort of grade
-i and everything worse.  All method columns are put on a common footing by
+i and everything worse.  That PD is the upper Clopper-Pearson bound, a
+quantile of Beta(D + 1, N - D) for the pooled counts; every grade's
+quantile comes from one elementwise safeguarded Newton solve on the
+binomial tail.  All method columns are put on a common footing by
 scaling each one so its count-weighted average equals the portfolio
 central tendency.
 """
@@ -16,9 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .calibrator import CalibrationResult
 from .cohorts import CohortSnapshot
-from .statdist import binomial_tail_le, solve_monotone
+from .statdist import binomial_tail_le, log_beta, solve_monotone
 
 __all__ = [
     "PTConfig",
@@ -73,29 +78,32 @@ def pluto_tasche(snapshot: CohortSnapshot, cfg: PTConfig = PTConfig()) -> list[f
 
     Grade i pools the counts of grades i..m (toward the worst grade) and
     takes the upper confidence bound: the largest theta with
-    P(X <= D_i | N_i, theta) >= 1 - confidence.  When the pooled defaults
-    equal the pooled cohort the bound is 1.  With ``enforce_monotone`` a
-    running maximum is applied from best to worst.
+    P(X <= D_i | N_i, theta) >= 1 - confidence, i.e. the ``confidence``
+    quantile of Beta(D_i + 1, N_i - D_i).  When the pooled defaults equal
+    the pooled cohort the bound is 1.  All other grades are solved together
+    by one safeguarded Newton iteration on the binomial tail, whose
+    derivative in theta is minus that beta density; each grade starts at
+    the beta mean and stops on a relative step of 1e-12.  With
+    ``enforce_monotone`` a running maximum is applied from best to worst.
     """
-    counts = snapshot.grades
-    m = len(counts)
-    pds: list[float] = []
-    for i in range(m):
-        n_pool = sum(g.performing_start for g in counts[i:])
-        d_pool = sum(g.defaults_end for g in counts[i:])
-        if n_pool == 0 or d_pool == n_pool:
-            pds.append(1.0)
-            continue
-        target = 1.0 - cfg.confidence
-        pds.append(solve_monotone(
-            lambda theta, n=n_pool, d=d_pool: binomial_tail_le(n, d, theta),
-            target, _THETA_LO, _THETA_HI, tol=1e-12))
+    grades = snapshot.grades[::-1]
+    n_pool = np.cumsum([g.performing_start for g in grades])[::-1]
+    d_pool = np.cumsum([g.defaults_end for g in grades])[::-1]
+    solved = (n_pool > 0) & (d_pool < n_pool)
+    n, d = n_pool[solved], d_pool[solved]
+    log_norm = log_beta(d + 1.0, n - d)
+
+    def tail_slope(theta):
+        # d/dtheta P(X <= d | n, theta) = -(Beta(d + 1, n - d) density at theta)
+        return -np.exp(d * np.log(theta) + (n - d - 1) * np.log1p(-theta) - log_norm)
+
+    pds = np.ones(len(n_pool))
+    pds[solved] = solve_monotone(
+        lambda theta: binomial_tail_le(n, d, theta), 1.0 - cfg.confidence,
+        _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=(d + 1.0) / (n + 1.0))
     if cfg.enforce_monotone:
-        running = 0.0
-        for i, pd in enumerate(pds):
-            running = max(running, pd)
-            pds[i] = running
-    return pds
+        pds = np.maximum.accumulate(pds)
+    return pds.tolist()
 
 
 def scale_to_ct(pds: Sequence[float], snapshot: CohortSnapshot) -> list[float]:

@@ -36,14 +36,14 @@ from .calibrator import (CalibrationConfig, InsufficientAcceptanceError, SweepNo
                          VarianceTooLargeError, calibrate, export_histograms)
 from .cohorts import CohortError, CohortSnapshot, parse_cohort_csv
 from .posterior import compute_posterior
-from .statdist import BracketError
+from .statdist import BracketError, ConvergenceError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (InsufficientAcceptanceError, SweepNotConvergedError,
-                   VarianceTooLargeError, BracketError)
+                   VarianceTooLargeError, BracketError, ConvergenceError)
 
 CALIBRATION_HEADER = ("grade_order", "label", "n", "d", "observed_rate",
                       "alpha_hat", "beta_hat", "mean", "median", "ci_lo", "ci_hi")

@@ -1,8 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
+from pdcalib import benchmarks
 from pdcalib.benchmarks import (PTConfig, align_external, build_comparison, central_tendency,
                                 parse_external_csv, pluto_tasche, scale_to_ct)
 from pdcalib.cohorts import CohortSnapshot, GradeCount
@@ -77,6 +79,38 @@ class TestPlutoTasche:
         pds = pluto_tasche(snap([(1, "A", 10, 1), (2, "B", 5, 5)]),
                            PTConfig(enforce_monotone=False))
         assert pds[1] == 1.0
+
+    def test_matches_scipy_beta_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(2005)
+        n = rng.integers(100_000, 1_000_001, 20)
+        d = (n * rng.uniform(0.0005, 0.05, 20)).astype(np.int64)
+        rows = [(i + 1, f"g{i + 1}", int(a), int(b)) for i, (a, b) in enumerate(zip(n, d))]
+        pds = pluto_tasche(snap(rows), PTConfig(enforce_monotone=False))
+        pooled_n, pooled_d = np.cumsum(n[::-1])[::-1], np.cumsum(d[::-1])[::-1]
+        want = stats.beta.ppf(0.75, pooled_d + 1, pooled_n - pooled_d)
+        np.testing.assert_allclose(pds, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("n", [10, 1_000, 54_321, 100_000, 999_983, 1_000_000])
+    def test_zero_default_closed_form_large_cohorts(self, n):
+        # (1 - pd)^n = 1 - c  =>  pd = 1 - (1 - c)^(1/n)
+        pds = pluto_tasche(snap([(1, "A", n, 0), (2, "B", 0, 0)]))
+        assert pds[0] == pytest.approx(-math.expm1(math.log(0.25) / n), rel=1e-9)
+
+    def test_one_solve_per_snapshot(self, monkeypatch, snapshot_2016):
+        calls = []
+        solve = benchmarks.solve_monotone
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(benchmarks, "solve_monotone", counted)
+        pluto_tasche(snapshot_2016)
+        assert len(calls) == 1
+        # a snapshot with no grade to solve still makes exactly one call
+        assert pluto_tasche(snap([(1, "A", 0, 0), (2, "B", 5, 5)])) == [1.0, 1.0]
+        assert len(calls) == 2
 
 
 class TestScaleToCT:

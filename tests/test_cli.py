@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdcalib import statdist
 from pdcalib.cli import main
 
 TAME_CSV = """period,grade_order,grade_label,performing_start,defaults_end
@@ -153,6 +154,14 @@ class TestCompareCommand:
                    "--out", str(tmp_path / "cmp")])
         assert rc == 2
         assert "qmm" in capsys.readouterr().err
+
+    def test_unconverged_tail_exits_3(self, tame_csv, tmp_path, monkeypatch, capsys):
+        calibration = self.setup_outputs(tame_csv, tmp_path)
+        monkeypatch.setattr(statdist, "_cont_frac_budget", lambda a, b: 2)
+        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
+                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+        assert rc == 3
+        assert "did not converge" in capsys.readouterr().err
 
     def test_mismatched_calibration_exits_2(self, tame_csv, tmp_path, capsys):
         calibration = self.setup_outputs(tame_csv, tmp_path)

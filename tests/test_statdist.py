@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pdcalib.statdist import (BetaParams, BracketError, RngStream, beta_cdf, beta_mean_var,
-                              binomial_tail_le, sample_beta, solve_monotone)
+from pdcalib import statdist
+from pdcalib.statdist import (BetaParams, BracketError, ConvergenceError, RngStream,
+                              _beta_cont_frac, beta_cdf, beta_mean_var, binomial_tail_le,
+                              log_beta, sample_beta, solve_monotone)
 
 
 class TestBetaParams:
@@ -134,6 +136,48 @@ class TestBetaCdf:
         assert mid == pytest.approx(0.5, abs=1e-3)
 
 
+class TestLogBeta:
+    @pytest.mark.parametrize("n", [1.0, 9.0, 10.0, 1e3, 1e6, 1e7, 1e8])
+    def test_closed_forms(self, n):
+        # B(1, n) = 1/n and B(2, n) = 1/(n (n + 1)), either argument order
+        assert log_beta(1.0, n) == pytest.approx(-math.log(n), rel=1e-14, abs=1e-15)
+        assert log_beta(n, 1.0) == pytest.approx(-math.log(n), rel=1e-14, abs=1e-15)
+        assert log_beta(2.0, n) == pytest.approx(-math.log(n) - math.log1p(n), rel=1e-14)
+
+    def test_matches_lgamma_sum_for_small_shapes(self):
+        for a, b in [(0.5, 0.5), (3.0, 12.0), (61.0, 1411.0), (20.0, 20.0)]:
+            naive = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+            assert log_beta(a, b) == pytest.approx(naive, rel=1e-13)
+
+    def test_elementwise(self):
+        a = np.array([1.0, 5.0, 50.0])
+        got = log_beta(a, 1e6)
+        assert got.shape == (3,)
+        assert np.array_equal(got, [log_beta(x, 1e6) for x in a])
+
+
+class TestContinuedFraction:
+    def test_tiny_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(statdist, "_cont_frac_budget", lambda a, b: 5)
+        with pytest.raises(ConvergenceError, match="did not converge in 5 iterations"):
+            _beta_cont_frac(1e6, 1e6, 0.4999)
+        with pytest.raises(ConvergenceError):
+            binomial_tail_le(2_000_000, 1_000_000, 0.5)
+
+    def test_default_budget_converges_at_worst_measured_shapes(self):
+        # just below the symmetry switch, where the fraction is slowest
+        for a, b in [(9.2e6, 3.1e5), (1e6, 1e6), (1e8, 1e7)]:
+            x = (a + 1.0) / (a + b + 2.0) * (1.0 - 1e-9)
+            assert np.isfinite(_beta_cont_frac(a, b, x))
+
+    def test_converged_elements_stop_updating(self):
+        # one slow element must not change the others' values
+        fast = _beta_cont_frac(3.0, 12.0, np.array([0.05, 0.1]))
+        mixed = _beta_cont_frac(np.array([3.0, 3.0, 1e6]), np.array([12.0, 12.0, 1e6]),
+                                np.array([0.05, 0.1, 0.4999]))
+        assert np.array_equal(mixed[:2], fast)
+
+
 class TestBinomialTail:
     def test_full_support(self):
         assert binomial_tail_le(29, 29, 0.5) == 1.0
@@ -163,6 +207,25 @@ class TestBinomialTail:
         with pytest.raises(ValueError):
             binomial_tail_le(n, d, theta)
 
+    def test_array_matches_scalar_calls(self):
+        meta = np.random.default_rng(11)
+        n = meta.integers(1, 1_000_000, 40)
+        d = (n * meta.uniform(0.0, 0.05, 40)).astype(np.int64)
+        d[:3] = n[:3]  # full support
+        theta = meta.uniform(1e-6, 0.1, 40)
+        got = binomial_tail_le(n, d, theta)
+        assert got.shape == (40,)
+        want = [binomial_tail_le(int(a), int(b), float(t)) for a, b, t in zip(n, d, theta)]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-300)
+        assert np.all(got[:3] == 1.0)
+
+    @pytest.mark.parametrize("n,d,theta", [([10, 10], [5, 11], 0.5), ([10, -1], [5, 0], 0.5),
+                                           (10, 5, [0.5, 1.0])])
+    def test_array_domain_errors(self, n, d, theta):
+        with pytest.raises(ValueError):
+            binomial_tail_le(np.array(n), np.array(d), np.array(theta))
+
 
 class TestSolveMonotone:
     def test_identity(self):
@@ -186,3 +249,40 @@ class TestSolveMonotone:
 
     def test_endpoint_hit(self):
         assert solve_monotone(lambda x: x, 0.0, 0.0, 1.0) == 0.0
+
+    def test_newton_needs_few_evaluations(self):
+        # (1 - x)^100 = 0.25 from the Beta(1, 100) mean, as pluto_tasche starts
+        calls = {"newton": 0, "bisection": 0}
+
+        def counted(kind):
+            def f(x):
+                calls[kind] += 1
+                return (1.0 - x) ** 100
+            return f
+
+        newton = solve_monotone(counted("newton"), 0.25, 0.0, 1.0, x0=1.0 / 101.0,
+                                fprime=lambda x: -100.0 * (1.0 - x) ** 99)
+        bisection = solve_monotone(counted("bisection"), 0.25, 0.0, 1.0, x0=1.0 / 101.0)
+        root = -math.expm1(math.log(0.25) / 100.0)
+        assert newton == pytest.approx(root, rel=1e-13)
+        assert bisection == pytest.approx(root, rel=1e-11)
+        assert calls["newton"] <= 10
+        assert calls["bisection"] >= 35
+
+    def test_elementwise_matches_scalar_solves(self):
+        targets = np.array([0.1, 0.25, 0.5, 0.9])
+        roots = solve_monotone(lambda x: (1.0 - x) ** 100, targets, 0.0, 1.0,
+                               fprime=lambda x: -100.0 * (1.0 - x) ** 99)
+        assert roots.shape == (4,)
+        for root, target in zip(roots, targets):
+            alone = solve_monotone(lambda x: (1.0 - x) ** 100, float(target), 0.0, 1.0)
+            assert root == pytest.approx(alone, rel=1e-11)
+
+    def test_bracket_error_names_the_open_element(self):
+        with pytest.raises(BracketError, match="target 2.0"):
+            solve_monotone(lambda x: x, np.array([0.5, 2.0]), 0.0, 1.0)
+
+    def test_step_cap_raises_instead_of_returning_midpoint(self):
+        # bisection from [0, 1] needs ~1000 halvings to reach 1e-300
+        with pytest.raises(ConvergenceError, match="after 200 steps"):
+            solve_monotone(lambda x: x, 1e-300, 0.0, 1.0)
