@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 from .calibrator import (CalibrationConfig, CalibrationResult, SweepResult, calibrate,
                          export_histograms, fit_beta_moments, run_sweep)
-from .cohorts import (BinningMap, CohortSnapshot, GradeCount, RatingScale, apply_binning,
-                      observed_default_rates, parse_cohort_csv, write_cohort_csv)
+from .cohorts import (BinningMap, CohortSnapshot, GradeCount, apply_binning,
+                      observed_default_rates, parse_cohort_csv)
 from .benchmarks import (PTConfig, ScaledComparison, build_comparison, central_tendency,
                          pluto_tasche, scale_to_ct)
 from .betareg import RegressionModel, fit, predict_mean
@@ -26,8 +26,8 @@ __all__ = [
     "__version__",
     "BetaParams", "RngStream", "beta_mean_var", "sample_beta",
     "beta_cdf", "binomial_tail_le", "solve_monotone",
-    "RatingScale", "GradeCount", "CohortSnapshot", "BinningMap",
-    "parse_cohort_csv", "write_cohort_csv", "apply_binning", "observed_default_rates",
+    "GradeCount", "CohortSnapshot", "BinningMap",
+    "parse_cohort_csv", "apply_binning", "observed_default_rates",
     "GradePosterior", "PortfolioPosterior", "compute_posterior",
     "CalibrationConfig", "SweepResult", "CalibrationResult",
     "fit_beta_moments", "run_sweep", "calibrate", "export_histograms",

@@ -13,16 +13,14 @@ central tendency.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .calibrator import CalibrationResult
 from .cohorts import CohortSnapshot
+from .csvio import CohortError, read_rows
 from .statdist import binomial_tail_le, log_beta, solve_monotone
 
 __all__ = [
@@ -163,44 +161,20 @@ def parse_external_csv(source) -> dict[str, dict[int, float]]:
     Returns method name -> {grade_order: pd}; alignment with a snapshot's
     grade orders happens at comparison time.
     """
-    if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        handle = io.StringIO(data)
     methods: dict[str, dict[int, float]] = {}
-    try:
-        reader = csv.reader(handle)
-        header = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if header is None:
-                header = tuple(cell.strip() for cell in row)
-                if header != EXTERNAL_HEADER:
-                    raise ValueError(
-                        f"line {line_no}: expected header {','.join(EXTERNAL_HEADER)}")
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {line_no}: expected 3 fields, got {len(row)}")
-            try:
-                order = int(row[0])
-                pd = float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: malformed row: {exc}") from None
-            name = row[1].strip()
-            if not name:
-                raise ValueError(f"line {line_no}: empty method name")
-            column = methods.setdefault(name, {})
-            if order in column:
-                raise ValueError(f"line {line_no}: duplicate grade order {order} for {name!r}")
-            column[order] = pd
-    finally:
-        handle.close()
+
+    def convert(cells: list[str]) -> None:
+        order, name, pd = int(cells[0]), cells[1], float(cells[2])
+        if not name:
+            raise ValueError("empty method name")
+        column = methods.setdefault(name, {})
+        if order in column:
+            raise ValueError(f"duplicate grade order {order} for {name!r}")
+        column[order] = pd
+
+    read_rows(source, EXTERNAL_HEADER, convert)
     if not methods:
-        raise ValueError("no external method rows found")
+        raise CohortError("no external method rows found")
     return methods
 
 

@@ -11,15 +11,13 @@ only shapes the implied beta parameters, never the predicted mean.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .csvio import CohortError, read_rows
 from .statdist import BetaParams
 
 __all__ = ["RegressionModel", "fit", "predict_mean", "parse_history_csv", "logit", "inv_logit"]
@@ -128,44 +126,16 @@ def parse_history_csv(source) -> tuple[list[str], list[tuple[tuple[float, ...], 
     Returns (period labels, [(regressor vector, mu), ...]).  ``k`` may be
     zero (an intercept-only model).
     """
-    if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        handle = io.StringIO(data)
+    def header(width: int) -> tuple[str, ...]:
+        return ("period", "mu", *(f"y{i}" for i in range(1, width - 1)))
+
     periods: list[str] = []
-    history: list[tuple[tuple[float, ...], float]] = []
-    try:
-        reader = csv.reader(handle)
-        header = None
-        width = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in row]
-                if len(header) < 2 or header[0] != "period" or header[1] != "mu":
-                    raise ValueError(f"line {line_no}: expected header period,mu[,y1,...]")
-                expected = [f"y{i}" for i in range(1, len(header) - 1)]
-                if header[2:] != expected:
-                    raise ValueError(f"line {line_no}: regressor columns must be y1..yk in order")
-                width = len(header)
-                continue
-            if len(row) != width:
-                raise ValueError(f"line {line_no}: expected {width} fields, got {len(row)}")
-            try:
-                mu = float(row[1])
-                y_vec = tuple(float(cell) for cell in row[2:])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: malformed row: {exc}") from None
-            periods.append(row[0].strip())
-            history.append((y_vec, mu))
-        if header is None:
-            raise ValueError("empty history: missing header")
-        if not history:
-            raise ValueError("history has no data rows")
-    finally:
-        handle.close()
+
+    def convert(cells: list[str]) -> tuple[tuple[float, ...], float]:
+        periods.append(cells[0])
+        return tuple(float(c) for c in cells[2:]), float(cells[1])
+
+    history = read_rows(source, header, convert)
+    if not history:
+        raise CohortError("history has no data rows")
     return periods, history

@@ -50,6 +50,9 @@ __all__ = [
 # Guard band for the moment-matching precondition s^2 < mean*(1-mean).
 _VARIANCE_GUARD = 1e-12
 
+# Passes a single sweep may take before SweepNotConvergedError.
+_MAX_PASSES = 500
+
 
 class VarianceTooLargeError(ValueError):
     """Sample variance admits no beta distribution (degenerate filtered sample)."""
@@ -72,9 +75,6 @@ class CalibrationConfig:
     always runs on stream ``(seed, k)``.  When fewer than ``min_accepted``
     pairs survive the filter, up to ``max_resample_rounds`` additional
     blocks of ``n_sim`` draws are appended before failing loudly.
-    ``max_passes`` caps the pass iteration of a single sweep;
-    ``direction`` selects which end of the scale the pair window starts
-    from ("ascending" = best grade first, the default).
     """
 
     n_sim: int = 100_000
@@ -83,8 +83,6 @@ class CalibrationConfig:
     ci_level: float = 0.90
     min_accepted: int = 100
     max_resample_rounds: int = 10
-    max_passes: int = 500
-    direction: str = "ascending"
 
     def __post_init__(self) -> None:
         if self.n_sim < 1000:
@@ -97,10 +95,6 @@ class CalibrationConfig:
             raise ValueError(f"min_accepted must be at least 100, got {self.min_accepted}")
         if self.max_resample_rounds < 0:
             raise ValueError("max_resample_rounds must be nonnegative")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be positive")
-        if self.direction not in ("ascending", "descending"):
-            raise ValueError(f"direction must be 'ascending' or 'descending', got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -212,16 +206,10 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) 
     if m < 2:
         raise ValueError("calibration needs at least 2 grades")
     params: list[BetaParams] = [g.params for g in grades]
-    if cfg.direction == "ascending":
-        pair_seq = tuple(range(m - 1))
-    else:
-        pair_seq = tuple(range(m - 2, -1, -1))
     accepted_per_pair = np.zeros(m - 1)
     drawn_per_pair = np.zeros(m - 1)
-    passes = 0
-    while passes < cfg.max_passes:
-        passes += 1
-        for i in pair_seq:
+    for passes in range(1, _MAX_PASSES + 1):
+        for i in range(m - 1):
             x, y, drawn = _filtered_pair(params[i], params[i + 1], cfg, rng, i)
             params[i] = fit_beta_moments(float(x.mean()), float(x.std()))
             params[i + 1] = fit_beta_moments(float(y.mean()), float(y.std()))
@@ -232,7 +220,7 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) 
             break
     else:
         raise SweepNotConvergedError(
-            f"calibrated means still out of order after {cfg.max_passes} passes")
+            f"calibrated means still out of order after {_MAX_PASSES} passes")
     return SweepResult(
         labels=post.labels,
         params=tuple(params),

@@ -9,32 +9,32 @@ compare     scaled side-by-side of the calibrated means, the most-prudent
 predict     fit the link-scale regression on a calibrated history and
             predict means for new regressor rows
 
-All machine-readable outputs store probabilities as plain decimals
-(0.0300, never "3.00%"); ``--pretty`` additionally prints a formatted
-table to stdout.  Every result file references its manifest.  Exit codes:
-0 success, 2 input validation, 3 numeric/algorithmic failure.
+All inputs are read in the one CSV dialect of ``csvio``.  All
+machine-readable outputs store probabilities as plain decimals (0.0300,
+never "3.00%"); ``--pretty`` additionally prints a formatted table to
+stdout.  Every result file references its manifest, and a command's
+files are written together or not at all (``csvio.write_outputs``).
+Exit codes: 0 success, 2 input validation, 3 numeric/algorithmic failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .benchmarks import (PTConfig, align_external, build_comparison, parse_external_csv,
                          pluto_tasche)
 from .betareg import fit as fit_regression
 from .betareg import parse_history_csv, predict_mean
-from .calibrator import (CalibrationConfig, InsufficientAcceptanceError, SweepNotConvergedError,
-                         VarianceTooLargeError, calibrate, export_histograms)
-from .cohorts import CohortError, CohortSnapshot, parse_cohort_csv
+from .calibrator import (_MAX_PASSES, CalibrationConfig, InsufficientAcceptanceError,
+                         SweepNotConvergedError, VarianceTooLargeError, calibrate,
+                         export_histograms)
+from .cohorts import CohortError, CohortSnapshot, observed_default_rates, parse_cohort_csv
+from .csvio import MANIFEST, csv_text, envelope, json_text, read_rows, write_outputs
 from .posterior import compute_posterior
 from .statdist import BracketError, ConvergenceError
 
@@ -47,11 +47,6 @@ _NUMERIC_ERRORS = (InsufficientAcceptanceError, SweepNotConvergedError,
 
 CALIBRATION_HEADER = ("grade_order", "label", "n", "d", "observed_rate",
                       "alpha_hat", "beta_hat", "mean", "median", "ci_lo", "ci_hi")
-
-
-def _digest(path: Path) -> str:
-    """64-bit content hash of a file, hex encoded."""
-    return hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
 
 
 def _require_file(raw: str) -> Path:
@@ -71,17 +66,6 @@ def _select_snapshot(snapshots, period: str) -> CohortSnapshot:
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _write_rows(path: Path, header, rows) -> None:
-    lines = ["# manifest: manifest.json", ",".join(header)]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_manifest(out_dir: Path, entries: dict) -> None:
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(entries, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _print_pretty(title: str, header, rows) -> None:
@@ -114,36 +98,23 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for idx, gc in enumerate(snapshot.grades):
-        observed = gc.defaults_end / gc.performing_start if gc.performing_start else 0.0
+    for idx, (gc, observed) in enumerate(zip(snapshot.grades, observed_default_rates(snapshot))):
         rows.append([
-            gc.order, gc.label, gc.performing_start, gc.defaults_end, _fmt(observed),
+            gc.order, gc.label, gc.performing_start, gc.defaults_end, _fmt(observed.rate),
             _fmt(result.alpha_hat[idx]), _fmt(result.beta_hat[idx]),
             _fmt(result.grade_means[idx]), _fmt(result.grade_medians[idx]),
             _fmt(result.ci_lower[idx]), _fmt(result.ci_upper[idx]),
         ])
-    _write_rows(out_dir / "calibration.csv", CALIBRATION_HEADER, rows)
-
+    files = {"calibration.csv": csv_text(CALIBRATION_HEADER, rows)}
     if args.emit_histograms:
         for gc, hist in zip(snapshot.grades, export_histograms(result)):
-            hist_rows = []
-            if len(hist.bin_edges) == 2 and hist.bin_edges[0] == hist.bin_edges[1]:
-                hist_rows.append([_fmt(hist.bin_edges[0]), _fmt(hist.bin_edges[1]), hist.counts[0]])
-            else:
-                for b in range(len(hist.counts)):
-                    hist_rows.append([_fmt(hist.bin_edges[b]), _fmt(hist.bin_edges[b + 1]),
-                                      hist.counts[b]])
-            _write_rows(out_dir / f"hist_{gc.order}.csv", ("bin_lo", "bin_hi", "count"), hist_rows)
+            hist_rows = [[_fmt(lo), _fmt(hi), count]
+                         for lo, hi, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)]
+            files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"), hist_rows)
 
-    manifest = {
-        "command": "calibrate",
-        "tool_version": __version__,
-        "numpy_version": np.__version__,
-        "input_path": str(input_path),
-        "input_digest": _digest(input_path),
+    manifest = envelope("calibrate", started, input=input_path)
+    manifest.update({
         "period": snapshot.period,
         "n_grades": len(snapshot.grades),
         "n_sim": cfg.n_sim,
@@ -152,18 +123,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "ci_level": cfg.ci_level,
         "min_accepted": cfg.min_accepted,
         "max_resample_rounds": cfg.max_resample_rounds,
-        "max_passes": cfg.max_passes,
-        "direction": cfg.direction,
+        "max_passes": _MAX_PASSES,
         "threads": args.threads,
         "emit_histograms": bool(args.emit_histograms),
         "passes_min": min(result.passes),
         "passes_max": max(result.passes),
         "warnings": "; ".join(result.warnings),
-        "duration_seconds": round(time.perf_counter() - started, 3),
-    }
+    })
     for i, rate in enumerate(result.pair_acceptance, start=1):
         manifest[f"acceptance_rate_pair_{i}"] = rate
-    _write_manifest(out_dir, manifest)
+    write_outputs(args.out, files, manifest)
 
     if args.pretty:
         pretty = [[gc.order, gc.label, _pct(result.grade_means[i]), _pct(result.grade_medians[i]),
@@ -175,71 +144,37 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_calibration_csv(path: Path) -> tuple[list[int], list[str], list[float]]:
-    orders: list[int] = []
-    labels: list[str] = []
-    means: list[float] = []
-    header = None
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = tuple(cells)
-            if header != CALIBRATION_HEADER:
-                raise CohortError(f"{path}: unexpected calibration header at line {line_no}")
-            continue
-        if len(cells) != len(CALIBRATION_HEADER):
-            raise CohortError(f"{path}: malformed row at line {line_no}")
-        orders.append(int(cells[0]))
-        labels.append(cells[1])
-        means.append(float(cells[7]))
-    if header is None or not orders:
-        raise CohortError(f"{path}: no calibration rows found")
-    return orders, labels, means
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     input_path = _require_file(args.input)
     calibration_path = _require_file(args.calibration)
+    external_path = _require_file(args.external) if args.external else None
     snapshots = parse_cohort_csv(input_path)
     snapshot = _select_snapshot(snapshots, args.period)
-    orders, labels, means = _parse_calibration_csv(calibration_path)
-    if orders != [g.order for g in snapshot.grades] or labels != list(snapshot.labels):
+    # (grade order, label, mean) of each calibrated grade
+    calibrated = read_rows(calibration_path, CALIBRATION_HEADER,
+                           lambda cells: (int(cells[0]), cells[1], float(cells[7])))
+    if [row[:2] for row in calibrated] != [(g.order, g.label) for g in snapshot.grades]:
         raise CohortError(
             "calibration column mismatch: grade orders/labels differ from the input period")
 
     pt_cfg = PTConfig(confidence=args.pt_confidence)
     pt_pds = pluto_tasche(snapshot, pt_cfg)
     external_cols = None
-    external_digest = ""
-    if args.external:
-        external_path = _require_file(args.external)
-        external_digest = _digest(external_path)
-        try:
-            external_cols = align_external(parse_external_csv(external_path), snapshot)
-        except ValueError as exc:
-            raise CohortError(f"{external_path}: {exc}") from None
-    comparison = build_comparison(snapshot, means, pt_pds, external_cols)
+    if external_path:
+        external_cols = align_external(parse_external_csv(external_path), snapshot)
+    comparison = build_comparison(snapshot, [mean for _, _, mean in calibrated], pt_pds,
+                                  external_cols)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     methods = list(comparison.columns)
     header = ("grade_order", "label", *methods)
     rows = []
     for i, (order, label) in enumerate(zip(comparison.grade_orders, comparison.labels)):
         rows.append([order, label, *(_fmt(comparison.columns[m][i]) for m in methods)])
-    _write_rows(out_dir / "comparison.csv", header, rows)
 
-    manifest = {
-        "command": "compare",
-        "tool_version": __version__,
-        "input_path": str(input_path),
-        "input_digest": _digest(input_path),
-        "calibration_path": str(calibration_path),
-        "calibration_digest": _digest(calibration_path),
-        "external_digest": external_digest,
+    manifest = envelope("compare", started, input=input_path, calibration=calibration_path,
+                        external=external_path)
+    manifest.update({
         "period": snapshot.period,
         "pt_confidence": pt_cfg.confidence,
         "pt_enforce_monotone": pt_cfg.enforce_monotone,
@@ -247,9 +182,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "total_performing": comparison.total_performing,
         "total_defaults": comparison.total_defaults,
         "methods": ",".join(methods),
-        "duration_seconds": round(time.perf_counter() - started, 3),
-    }
-    _write_manifest(out_dir, manifest)
+    })
+    write_outputs(args.out, {"comparison.csv": csv_text(header, rows)}, manifest)
 
     if args.pretty:
         pretty = [[order, label, *(_pct(comparison.columns[m][i]) for m in methods)]
@@ -264,79 +198,37 @@ def cmd_predict(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     history_path = _require_file(args.history)
     newdata_path = _require_file(args.newdata)
-    try:
-        _, history = parse_history_csv(history_path)
-        model = fit_regression(history)
-        new_periods, new_rows = _parse_newdata_csv(newdata_path, len(model.coefficients))
-    except ValueError as exc:
-        if isinstance(exc, CohortError):
-            raise
-        raise CohortError(str(exc)) from None
+    _, history = parse_history_csv(history_path)
+    model = fit_regression(history)
+    # (period, regressor vector) of each new row; zero rows is fine
+    newdata_header = ("period", *(f"y{i}" for i in range(1, len(model.coefficients) + 1)))
+    newdata = read_rows(newdata_path, newdata_header,
+                        lambda cells: (cells[0], tuple(float(c) for c in cells[1:])))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_doc = {
-        "manifest": "manifest.json",
+        "manifest": MANIFEST,
         "intercept": model.intercept,
         "link": model.link,
         "precision": model.precision,
     }
     for i, coefficient in enumerate(model.coefficients, start=1):
         model_doc[f"coefficient_{i}"] = coefficient
-    (out_dir / "model.json").write_text(json.dumps(model_doc, sort_keys=True, indent=2) + "\n",
-                                        encoding="utf-8")
-    rows = []
-    for period, y_vec in zip(new_periods, new_rows):
-        mu, _ = predict_mean(model, y_vec)
-        rows.append([period, _fmt(mu)])
-    _write_rows(out_dir / "predictions.csv", ("period", "mu"), rows)
+    rows = [[period, _fmt(predict_mean(model, y_vec)[0])] for period, y_vec in newdata]
 
-    manifest = {
-        "command": "predict",
-        "tool_version": __version__,
-        "history_path": str(history_path),
-        "history_digest": _digest(history_path),
-        "newdata_path": str(newdata_path),
-        "newdata_digest": _digest(newdata_path),
+    manifest = envelope("predict", started, history=history_path, newdata=newdata_path)
+    manifest.update({
         "n_observations": len(history),
         "n_regressors": len(model.coefficients),
         "n_predictions": len(rows),
         "link": model.link,
-        "duration_seconds": round(time.perf_counter() - started, 3),
-    }
-    _write_manifest(out_dir, manifest)
+    })
+    write_outputs(args.out, {"model.json": json_text(model_doc),
+                             "predictions.csv": csv_text(("period", "mu"), rows)}, manifest)
 
     if args.pretty:
         _print_pretty("Predicted means", ("period", "mu"),
                       [[p, _pct(float(m))] for p, m in rows] or [["(none)", "-"]])
     return EXIT_OK
-
-
-def _parse_newdata_csv(path: Path, k: int) -> tuple[list[str], list[tuple[float, ...]]]:
-    """Read prediction rows from `period,y1,...,yk`; zero data rows is fine."""
-    periods: list[str] = []
-    rows: list[tuple[float, ...]] = []
-    header = None
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if header is None:
-            expected = ["period"] + [f"y{i}" for i in range(1, k + 1)]
-            if [c.strip() for c in cells] != expected:
-                raise ValueError(f"line {line_no}: expected header {','.join(expected)}")
-            header = cells
-            continue
-        if len(cells) != k + 1:
-            raise ValueError(f"line {line_no}: expected {k + 1} fields, got {len(cells)}")
-        try:
-            rows.append(tuple(float(c) for c in cells[1:]))
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: malformed row: {exc}") from None
-        periods.append(cells[0].strip())
-    if header is None:
-        raise ValueError(f"{path}: missing header")
-    return periods, rows
 
 
 def build_parser() -> argparse.ArgumentParser:

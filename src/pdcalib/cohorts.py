@@ -1,32 +1,31 @@
-"""Rating scales and cohort count data: model, CSV ingestion, grade binning.
+"""Cohort count data: model, CSV ingestion, grade binning.
 
-Input CSV schema (UTF-8, header required)::
+Input CSV schema, in the shared dialect of ``csvio`` (UTF-8, header
+first, blank and ``#`` lines ignored, errors named by line)::
 
     period,grade_order,grade_label,performing_start,defaults_end
 
 One row per (period, grade).  ``grade_order`` is 1 for the best credit
 quality.  A row whose label equals the designated default-bucket label is
 validated and then dropped: the default bucket is an absorbing state, not
-a calibratable grade.  Lines starting with ``#`` are treated as comments.
+a calibratable grade.  ``CohortError`` lives in ``csvio`` and is
+re-exported here.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
+
+from .csvio import CohortError, read_rows
 
 __all__ = [
     "CohortError",
-    "RatingScale",
     "GradeCount",
     "CohortSnapshot",
     "GradeRate",
     "BinningMap",
     "parse_cohort_csv",
-    "write_cohort_csv",
     "apply_binning",
     "observed_default_rates",
 ]
@@ -34,33 +33,6 @@ __all__ = [
 COHORT_HEADER = ("period", "grade_order", "grade_label", "performing_start", "defaults_end")
 
 DEFAULT_BUCKET_LABEL = "C/D"
-
-
-class CohortError(ValueError):
-    """Malformed or inconsistent cohort input.  Carries a line number when known."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-@dataclass(frozen=True)
-class RatingScale:
-    """Ordered non-default grade labels plus the absorbing default bucket."""
-
-    grades: tuple[str, ...]
-    default_bucket_label: str = DEFAULT_BUCKET_LABEL
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grades", tuple(self.grades))
-        if len(self.grades) < 2:
-            raise ValueError("a rating scale needs at least 2 non-default grades")
-        if len(set(self.grades)) != len(self.grades):
-            raise ValueError("grade labels must be unique")
-        if self.default_bucket_label in self.grades:
-            raise ValueError("the default bucket cannot also be a calibratable grade")
 
 
 @dataclass(frozen=True)
@@ -73,12 +45,14 @@ class GradeCount:
     defaults_end: int
 
     def __post_init__(self) -> None:
-        if not self.label or any(c in self.label for c in ",\n\r"):
+        # labels are written as bare CSV cells, so they must need no quoting
+        if not self.label or any(c in self.label for c in ',"\n\r'):
             raise ValueError(f"invalid grade label {self.label!r}")
         if self.performing_start < 0 or self.defaults_end < 0:
             raise ValueError(f"grade {self.label}: counts must be nonnegative")
         if self.defaults_end > self.performing_start:
-            raise ValueError(f"grade {self.label}: defaults exceed performing")
+            raise ValueError(f"grade {self.label}: defaults exceed performing "
+                             f"({self.defaults_end} > {self.performing_start})")
 
 
 @dataclass(frozen=True)
@@ -109,9 +83,6 @@ class CohortSnapshot:
     def total_defaults(self) -> int:
         return sum(g.defaults_end for g in self.grades)
 
-    def scale(self, default_bucket_label: str = DEFAULT_BUCKET_LABEL) -> RatingScale:
-        return RatingScale(self.labels, default_bucket_label)
-
 
 @dataclass(frozen=True)
 class GradeRate:
@@ -135,76 +106,32 @@ class BinningMap:
             raise CohortError(f"uncovered grade {raw!r} in binning map") from None
 
 
-def _open_text(source) -> io.TextIOBase:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise TypeError(f"cannot read cohort CSV from {type(source).__name__}")
-
-
-def parse_cohort_csv(
-    source,
-    default_bucket_label: str = DEFAULT_BUCKET_LABEL,
-    scale: RatingScale | None = None,
-) -> list[CohortSnapshot]:
+def parse_cohort_csv(source,
+                     default_bucket_label: str = DEFAULT_BUCKET_LABEL) -> list[CohortSnapshot]:
     """Parse cohort counts into one snapshot per period (sorted by period label).
 
     Rows whose label equals ``default_bucket_label`` are validated then
-    excluded.  When ``scale`` is given, every non-bucket label must belong
-    to it.  Raises CohortError with the offending line number on malformed
-    rows, duplicate (period, grade) pairs, defaults exceeding performing
-    counts, or unknown grades.
+    excluded.  Raises CohortError with the offending line number on
+    malformed rows, duplicate (period, grade) pairs or grade orders, and
+    counts that are negative or have defaults exceeding performing.
     """
-    handle = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        header: list[str] | None = None
-        per_period: dict[str, dict[int, GradeCount]] = {}
-        seen: set[tuple[str, str]] = set()
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in row]
-                if tuple(header) != COHORT_HEADER:
-                    raise CohortError(
-                        f"expected header {','.join(COHORT_HEADER)}, got {','.join(header)}",
-                        line=line_no)
-                continue
-            if len(row) != len(COHORT_HEADER):
-                raise CohortError(f"expected {len(COHORT_HEADER)} fields, got {len(row)}", line=line_no)
-            period, order_s, label, n_s, d_s = (cell.strip() for cell in row)
-            try:
-                order = int(order_s)
-                n = int(n_s)
-                d = int(d_s)
-            except ValueError as exc:
-                raise CohortError(f"malformed row: {exc}", line=line_no) from None
-            if (period, label) in seen:
-                raise CohortError(f"duplicate (period, grade) pair ({period}, {label})", line=line_no)
-            seen.add((period, label))
-            if d > n:
-                raise CohortError(f"grade {label}: defaults exceed performing ({d} > {n})", line=line_no)
-            if n < 0 or d < 0:
-                raise CohortError(f"grade {label}: counts must be nonnegative", line=line_no)
-            if label == default_bucket_label:
-                continue  # absorbing state: accepted, never calibrated
-            if scale is not None and label not in scale.grades:
-                raise CohortError(f"unknown grade {label!r}", line=line_no)
-            bucket = per_period.setdefault(period, {})
-            if order in bucket:
-                raise CohortError(f"duplicate grade order {order} in period {period}", line=line_no)
-            bucket[order] = GradeCount(order, label, n, d)
-        if header is None:
-            raise CohortError("empty input: missing header")
-    finally:
-        handle.close()
+    per_period: dict[str, dict[int, GradeCount]] = {}
+    seen: set[tuple[str, str]] = set()
+
+    def convert(cells: list[str]) -> None:
+        period, label = cells[0], cells[2]
+        grade = GradeCount(int(cells[1]), label, int(cells[3]), int(cells[4]))
+        if (period, label) in seen:
+            raise ValueError(f"duplicate (period, grade) pair ({period}, {label})")
+        seen.add((period, label))
+        if label == default_bucket_label:
+            return  # absorbing state: accepted, never calibrated
+        bucket = per_period.setdefault(period, {})
+        if grade.order in bucket:
+            raise ValueError(f"duplicate grade order {grade.order} in period {period}")
+        bucket[grade.order] = grade
+
+    read_rows(source, COHORT_HEADER, convert)
     snapshots = []
     for period in sorted(per_period):
         grades = tuple(per_period[period][o] for o in sorted(per_period[period]))
@@ -212,21 +139,6 @@ def parse_cohort_csv(
     if not snapshots:
         raise CohortError("no cohort rows found")
     return snapshots
-
-
-def write_cohort_csv(snapshots: Iterable[CohortSnapshot], dest) -> None:
-    """Serialize snapshots back to the input CSV schema (round-trip safe)."""
-    own = isinstance(dest, (str, Path))
-    handle = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COHORT_HEADER)
-        for snap in snapshots:
-            for g in snap.grades:
-                writer.writerow([snap.period, g.order, g.label, g.performing_start, g.defaults_end])
-    finally:
-        if own:
-            handle.close()
 
 
 def apply_binning(snapshot: CohortSnapshot, bmap: BinningMap) -> CohortSnapshot:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pdcalib import calibrator
 from pdcalib.calibrator import (CalibrationConfig, CalibrationResult, InsufficientAcceptanceError,
-                                VarianceTooLargeError, calibrate, export_histograms,
-                                fit_beta_moments, oracle_conditional_means_2grade, run_sweep)
+                                SweepNotConvergedError, VarianceTooLargeError, calibrate,
+                                export_histograms, fit_beta_moments,
+                                oracle_conditional_means_2grade, run_sweep)
 from pdcalib.posterior import GradePosterior, PortfolioPosterior
 from pdcalib.statdist import BetaParams, RngStream, beta_mean_var, sample_beta
 
@@ -59,8 +61,7 @@ class TestFitBetaMoments:
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_sim=999), dict(k_reps=0), dict(ci_level=0.0), dict(ci_level=1.0),
-        dict(min_accepted=99), dict(max_resample_rounds=-1), dict(max_passes=0),
-        dict(direction="sideways"),
+        dict(min_accepted=99), dict(max_resample_rounds=-1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -137,11 +138,15 @@ class TestRunSweep:
         assert all(a <= b for a, b in zip(sweep.means, sweep.means[1:]))
         assert sweep.passes >= 1
 
-    def test_descending_direction_also_converges(self):
-        cfg = CalibrationConfig(direction="descending", **FAST)
-        sweep = run_sweep(portfolio(BetaParams(4, 150), BetaParams(2, 200), BetaParams(9, 100)),
-                          cfg, RngStream(2, 0))
-        assert all(a <= b for a, b in zip(sweep.means, sweep.means[1:]))
+    def test_pass_budget_exhausted_raises(self, monkeypatch):
+        # counts 400/16, 200/4, 400/10: the second pair step pulls the middle
+        # grade back below the first, so one pass never leaves them in order
+        post = portfolio(BetaParams(17, 385), BetaParams(5, 197), BetaParams(11, 391))
+        cfg = CalibrationConfig(n_sim=2000, k_reps=1, seed=5)
+        assert run_sweep(post, cfg, RngStream(5, 0)).passes == 2
+        monkeypatch.setattr(calibrator, "_MAX_PASSES", 1)
+        with pytest.raises(SweepNotConvergedError, match="after 1 passes"):
+            run_sweep(post, cfg, RngStream(5, 0))
 
     def test_already_monotone_is_near_fixed_point(self):
         # adjacent means separated by far more than 6 posterior sds

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdcalib import statdist
+from pdcalib import calibrator, csvio, statdist
 from pdcalib.cli import main
 
 TAME_CSV = """period,grade_order,grade_label,performing_start,defaults_end
@@ -91,16 +91,40 @@ class TestCalibrateCommand:
         assert run_calibrate(tame_csv, out2, threads=2) == 0
         assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
 
-    def test_histograms_emitted(self, tame_csv, tmp_path):
+    @pytest.mark.parametrize("k_reps", [5, 1])
+    def test_histograms_emitted(self, tame_csv, tmp_path, k_reps):
         out = tmp_path / "out"
         args = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
-                "--k-reps", "5", "--seed", "1", "--threads", "1", "--out", str(out),
+                "--k-reps", str(k_reps), "--seed", "1", "--threads", "1", "--out", str(out),
                 "--emit-histograms"]
         assert main(args) == 0
         for order in (1, 2, 3):
             header, rows = read_csv_rows(out / f"hist_{order}.csv")
             assert header == ["bin_lo", "bin_hi", "count"]
-            assert sum(int(r[2]) for r in rows) == 5
+            assert sum(int(r[2]) for r in rows) == k_reps
+
+    def test_failed_write_leaves_previous_outputs(self, tame_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert run_calibrate(tame_csv, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"calibration.csv", "manifest.json"}
+
+        def fail(doc):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(csvio, "json_text", fail)
+        assert run_calibrate(tame_csv, out, seed=8) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_pass_budget_exhausted_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the portfolio of test_calibrator's pass-budget test, as counts
+        path = tmp_path / "cohorts.csv"
+        path.write_text("period,grade_order,grade_label,performing_start,defaults_end\n"
+                        "T1,1,A,400,16\nT1,2,B,200,4\nT1,3,C,400,10\n", encoding="utf-8")
+        monkeypatch.setattr(calibrator, "_MAX_PASSES", 1)
+        assert run_calibrate(path, tmp_path / "out", n_sim=2000, k_reps=1, seed=5) == 3
+        assert "after 1 passes" in capsys.readouterr().err
 
     def test_pretty_prints_percentages(self, tame_csv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,4 +1,6 @@
-"""Property tests on random portfolios (hypothesis)."""
+"""Property tests on random portfolios and malformed input (hypothesis)."""
+
+import io
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ stats = pytest.importorskip("scipy.stats")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pdcalib.benchmarks import PTConfig, pluto_tasche  # noqa: E402
-from pdcalib.cohorts import CohortSnapshot, GradeCount  # noqa: E402
+from pdcalib.benchmarks import PTConfig, parse_external_csv, pluto_tasche  # noqa: E402
+from pdcalib.betareg import parse_history_csv  # noqa: E402
+from pdcalib.cohorts import (BinningMap, CohortError, CohortSnapshot, GradeCount,  # noqa: E402
+                             apply_binning, parse_cohort_csv)
 
 
 @st.composite
@@ -39,3 +43,101 @@ def test_pluto_tasche_on_random_portfolios(snapshot, confidence):
         assert bound >= pooled_d / pooled_n
         want = stats.beta.ppf(confidence, pooled_d + 1, pooled_n - pooled_d)
         assert bound == pytest.approx(want, rel=1e-9)
+
+
+FILLERS = st.lists(st.sampled_from(["", "   ", "# comment", "#a,b,c"]), max_size=2)
+
+
+@st.composite
+def csv_with_one_bad_row(draw, header, good, bad):
+    """(text, line of the bad row): comment and blank lines anywhere, one corrupt data row.
+
+    ``good(i)`` is a strategy for valid data row i and ``bad(i)`` lists
+    corrupt versions of it.
+    """
+    n_rows = draw(st.integers(1, 12))
+    bad_index = draw(st.integers(0, n_rows - 1))
+    lines = draw(FILLERS) + [header]
+    for i in range(n_rows):
+        lines += draw(FILLERS)
+        if i == bad_index:
+            lines.append(draw(st.sampled_from(bad(i))))
+            bad_line = len(lines)
+        else:
+            lines.append(draw(good(i)))
+    lines += draw(FILLERS)
+    return "\n".join(lines) + "\n", bad_line
+
+
+def cohort_row(i):
+    return st.integers(0, 1000).flatmap(
+        lambda n: st.integers(0, n).map(lambda d: f"T,{i + 1},g{i + 1},{n},{d}"))
+
+
+def bad_cohort_rows(i):
+    key = f"T,{i + 1},g{i + 1}"
+    return [f"{key},x,0", f"{key},10,1.5", f"{key},10", f"{key},10,1,7",   # not an integer, width
+            f"{key},5,6", f"{key},-3,0", f"{key},3,-1"]                     # d > n, negative
+
+
+def external_row(i):
+    return st.floats(0.0, 1.0).map(lambda pd: f"{i + 1},m,{pd!r}")
+
+
+def bad_external_rows(i):
+    return [f"{i + 1},m,abc", "x,m,0.1", f"{i + 1},m", f"{i + 1},m,0.1,2"]
+
+
+def history_row(i):
+    return st.tuples(st.floats(0.01, 0.99), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(
+        lambda t: f"p{i},{t[0]!r},{t[1]!r},{t[2]!r}")
+
+
+def bad_history_rows(i):
+    return [f"p{i},zzz,1,2", f"p{i},0.5,1,y", f"p{i},0.5,1", f"p{i},0.5,1,2,3"]
+
+
+@pytest.mark.parametrize("parse,header,good,bad", [
+    (parse_cohort_csv, "period,grade_order,grade_label,performing_start,defaults_end",
+     cohort_row, bad_cohort_rows),
+    (parse_external_csv, "grade_order,method_name,pd", external_row, bad_external_rows),
+    (parse_history_csv, "period,mu,y1,y2", history_row, bad_history_rows),
+], ids=["cohorts", "external", "history"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bad_row_reported_at_its_line(parse, header, good, bad, data):
+    text, line = data.draw(csv_with_one_bad_row(header, good, bad))
+    with pytest.raises(CohortError) as excinfo:
+        parse(io.StringIO(text))
+    assert excinfo.value.line == line
+
+
+@st.composite
+def binned_portfolios(draw):
+    """A portfolio of 1-20 grades and a contiguous grouping of its grades."""
+    rows = []
+    for order in range(1, draw(st.integers(1, 20)) + 1):
+        n = draw(st.integers(0, 10_000))
+        rows.append(GradeCount(order, f"g{order}", n, draw(st.integers(0, n))))
+    cuts = draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else set()
+    group = 0
+    mapping = {}
+    for index, g in enumerate(rows):
+        if index in cuts:
+            group += 1
+        mapping[g.label] = f"m{group}"
+    return CohortSnapshot("t", tuple(rows)), BinningMap(mapping)
+
+
+@settings(max_examples=100, deadline=None)
+@given(binned_portfolios())
+def test_binning_conserves_counts(portfolio):
+    snapshot, bmap = portfolio
+    merged = apply_binning(snapshot, bmap)
+    assert merged.total_performing == snapshot.total_performing
+    assert merged.total_defaults == snapshot.total_defaults
+    for grade in merged.grades:
+        members = [g for g in snapshot.grades if bmap.mapping[g.label] == grade.label]
+        assert grade.performing_start == sum(g.performing_start for g in members)
+        assert grade.defaults_end == sum(g.defaults_end for g in members)
+    assert [g.order for g in merged.grades] == list(range(1, len(set(bmap.mapping.values())) + 1))
