@@ -107,8 +107,8 @@ def pluto_tasche(snapshot: CohortSnapshot, cfg: PTConfig = PTConfig()) -> list[f
 def scale_to_ct(pds: Sequence[float], snapshot: CohortSnapshot) -> list[float]:
     """Rescale PDs so their count-weighted average equals the central tendency.
 
-    Multiplicative, so relative ordering is preserved and the operation is
-    positively homogeneous in the input vector.
+    Multiplicative, so relative ordering is preserved, and invariant to a
+    positive rescaling of the input vector: ``c * pds`` gives the same result.
     """
     if len(pds) != len(snapshot.grades):
         raise ValueError(

@@ -7,7 +7,7 @@ Monte-Carlo filter:
 
 1. simulate ``n_sim`` draws from each grade of an adjacent pair,
 2. keep the index-aligned draw pairs that satisfy theta_i <= theta_{i+1},
-3. refit BOTH marginals from the kept draws by beta moment matching,
+3. refit BOTH marginals by beta moment matching of the kept draws,
 4. carry the updated distributions along and slide the pair window across
    the scale; repeat whole passes until every adjacent pair of fitted
    means is in order.
@@ -16,16 +16,17 @@ One such converged sweep yields a fitted shape pair and a calibrated mean
 per grade.  Repeating the sweep ``k_reps`` times from the raw posteriors,
 each repetition on its own random stream, yields a sampling distribution
 per grade from which the point estimate, median and confidence bounds are
-reported.  Results are bit-reproducible for a fixed (seed, config, data,
-numpy version) regardless of how many workers execute the repetitions.
+reported.  The repetitions run on threads of this one process (the beta
+sampler and numpy's array loops release the interpreter lock); results are
+bit-reproducible for a fixed (seed, config, data, numpy version) regardless
+of the thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -53,6 +54,11 @@ _VARIANCE_GUARD = 1e-12
 # Passes a single sweep may take before SweepNotConvergedError.
 _MAX_PASSES = 500
 
+# Kept pairs a pair step needs, and the extra blocks of n_sim draws it may
+# take to reach them before InsufficientAcceptanceError.
+_MIN_ACCEPTED = 100
+_MAX_RESAMPLE_ROUNDS = 10
+
 
 class VarianceTooLargeError(ValueError):
     """Sample variance admits no beta distribution (degenerate filtered sample)."""
@@ -72,17 +78,13 @@ class CalibrationConfig:
 
     ``n_sim`` draws are simulated per grade per pair step; ``k_reps``
     independent sweeps build the sampling distribution; repetition ``k``
-    always runs on stream ``(seed, k)``.  When fewer than ``min_accepted``
-    pairs survive the filter, up to ``max_resample_rounds`` additional
-    blocks of ``n_sim`` draws are appended before failing loudly.
+    always runs on stream ``(seed, k)``.
     """
 
     n_sim: int = 100_000
     k_reps: int = 300
     seed: int = 42
     ci_level: float = 0.90
-    min_accepted: int = 100
-    max_resample_rounds: int = 10
 
     def __post_init__(self) -> None:
         if self.n_sim < 1000:
@@ -91,10 +93,6 @@ class CalibrationConfig:
             raise ValueError(f"k_reps must be at least 1, got {self.k_reps}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if self.min_accepted < 100:
-            raise ValueError(f"min_accepted must be at least 100, got {self.min_accepted}")
-        if self.max_resample_rounds < 0:
-            raise ValueError("max_resample_rounds must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -167,28 +165,39 @@ def fit_beta_moments(sample_mean: float, sample_sd: float) -> BetaParams:
     return BetaParams(sample_mean * concentration, (1.0 - sample_mean) * concentration)
 
 
-def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
-                   rng: RngStream, pair_index: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Index-aligned draws from both grades, filtered to the ordered region."""
-    kept_x: list[np.ndarray] = []
-    kept_y: list[np.ndarray] = []
-    accepted = 0
-    drawn = 0
-    for _ in range(cfg.max_resample_rounds + 1):
+def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig, rng: RngStream,
+                   pair_index: int) -> tuple[BetaParams, BetaParams, int, int]:
+    """Both grades refitted from their index-aligned draws that are in order,
+    with the accepted and drawn pair counts.
+
+    The moments come from running sums over the kept draws of each draw
+    minus its distribution's mean, and of that difference squared; the
+    shift keeps tight shapes from losing digits to cancellation.
+    """
+    shifts = [p.alpha / (p.alpha + p.beta) for p in (lower, upper)]
+    sums = np.zeros((2, 2))  # per grade: sum of differences, sum of their squares
+    accepted = drawn = 0
+    for _ in range(_MAX_RESAMPLE_ROUNDS + 1):
         x = sample_beta(lower, rng, size=cfg.n_sim)
         y = sample_beta(upper, rng, size=cfg.n_sim)
         keep = x <= y
-        kept_x.append(x[keep])
-        kept_y.append(y[keep])
-        accepted += int(keep.sum())
+        for grade, draws in enumerate((x, y)):
+            diff = draws[keep]
+            diff -= shifts[grade]
+            sums[grade, 0] += diff.sum()
+            sums[grade, 1] += np.square(diff, out=diff).sum()
+        accepted += int(np.count_nonzero(keep))
         drawn += cfg.n_sim
-        if accepted >= cfg.min_accepted:
+        if accepted >= _MIN_ACCEPTED:
             break
-    if accepted < cfg.min_accepted:
+    if accepted < _MIN_ACCEPTED:
         raise InsufficientAcceptanceError(
             f"pair {pair_index + 1}: only {accepted} of {drawn} simulated pairs satisfied "
-            f"the order constraint (need {cfg.min_accepted}); grades are too far inverted")
-    return np.concatenate(kept_x), np.concatenate(kept_y), drawn
+            f"the order constraint (need {_MIN_ACCEPTED}); grades are too far inverted")
+    offset = sums[:, 0] / accepted
+    sd = np.sqrt(sums[:, 1] / accepted - offset * offset)
+    lower, upper = (fit_beta_moments(float(c + d), float(s)) for c, d, s in zip(shifts, offset, sd))
+    return lower, upper, accepted, drawn
 
 
 def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) -> SweepResult:
@@ -210,10 +219,9 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) 
     drawn_per_pair = np.zeros(m - 1)
     for passes in range(1, _MAX_PASSES + 1):
         for i in range(m - 1):
-            x, y, drawn = _filtered_pair(params[i], params[i + 1], cfg, rng, i)
-            params[i] = fit_beta_moments(float(x.mean()), float(x.std()))
-            params[i + 1] = fit_beta_moments(float(y.mean()), float(y.std()))
-            accepted_per_pair[i] += x.size
+            params[i], params[i + 1], accepted, drawn = _filtered_pair(
+                params[i], params[i + 1], cfg, rng, i)
+            accepted_per_pair[i] += accepted
             drawn_per_pair[i] += drawn
         means = [p.alpha / (p.alpha + p.beta) for p in params]
         if all(means[j] <= means[j + 1] for j in range(m - 1)):
@@ -230,27 +238,22 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) 
     )
 
 
-def _sweep_task(post: PortfolioPosterior, cfg: CalibrationConfig, rep: int) -> SweepResult:
-    try:
-        return run_sweep(post, cfg, RngStream(cfg.seed, rep))
-    except (VarianceTooLargeError, InsufficientAcceptanceError, SweepNotConvergedError) as exc:
-        raise type(exc)(f"repetition {rep}: {exc}") from None
-
-
 def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1) -> CalibrationResult:
     """Sampling distribution of the calibrated means over ``k_reps`` sweeps.
 
     Repetition ``k`` restarts from the raw posteriors on stream
-    ``(cfg.seed, k)``; repetitions are embarrassingly parallel and the
-    result is identical for any ``workers`` count.
+    ``(cfg.seed, k)``.  Repetitions share nothing mutable, so they run on
+    ``workers`` threads with the same result for any count.  The first
+    failing repetition in order is raised, and those not started are cancelled.
     """
-    reps = list(range(cfg.k_reps))
-    if workers > 1 and cfg.k_reps > 1:
-        chunk = max(1, math.ceil(cfg.k_reps / (workers * 4)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sweeps = list(pool.map(_sweep_task, repeat(post), repeat(cfg), reps, chunksize=chunk))
-    else:
-        sweeps = [_sweep_task(post, cfg, k) for k in reps]
+    def sweep(rep: int) -> SweepResult:
+        try:
+            return run_sweep(post, cfg, RngStream(cfg.seed, rep))
+        except (VarianceTooLargeError, InsufficientAcceptanceError, SweepNotConvergedError) as exc:
+            raise type(exc)(f"repetition {rep}: {exc}") from None
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        sweeps = list(pool.map(sweep, range(cfg.k_reps)))
 
     mean_matrix = np.array([s.means for s in sweeps])
     alphas = np.array([[p.alpha for p in s.params] for s in sweeps])
@@ -308,8 +311,8 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams, grid: int = 
     f1 = _beta_pdf_grid(x, p1)
     f2 = _beta_pdf_grid(x, p2)
     # inner integrals over theta_1 in [0, y], cumulative trapezoid
-    mass1 = np.concatenate([[0.0], np.cumsum((f1[1:] + f1[:-1]) * (0.5 * h))])
-    moment1 = np.concatenate([[0.0], np.cumsum(((x * f1)[1:] + (x * f1)[:-1]) * (0.5 * h))])
+    mass1 = np.insert(np.cumsum((f1[1:] + f1[:-1]) * (0.5 * h)), 0, 0.0)
+    moment1 = np.insert(np.cumsum(((x * f1)[1:] + (x * f1)[:-1]) * (0.5 * h)), 0, 0.0)
     w = np.full(grid + 1, h)
     w[0] = w[-1] = 0.5 * h
     prob = float(np.sum(w * f2 * mass1))

@@ -30,9 +30,9 @@ from .benchmarks import (PTConfig, align_external, build_comparison, parse_exter
                          pluto_tasche)
 from .betareg import fit as fit_regression
 from .betareg import parse_history_csv, predict_mean
-from .calibrator import (_MAX_PASSES, CalibrationConfig, InsufficientAcceptanceError,
-                         SweepNotConvergedError, VarianceTooLargeError, calibrate,
-                         export_histograms)
+from .calibrator import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
+                         InsufficientAcceptanceError, SweepNotConvergedError,
+                         VarianceTooLargeError, calibrate, export_histograms)
 from .cohorts import CohortError, CohortSnapshot, observed_default_rates, parse_cohort_csv
 from .csvio import MANIFEST, csv_text, envelope, json_text, read_rows, write_outputs
 from .posterior import compute_posterior
@@ -85,14 +85,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     input_path = _require_file(args.input)
     snapshots = parse_cohort_csv(input_path)
     snapshot = _select_snapshot(snapshots, args.period)
-    cfg = CalibrationConfig(
-        n_sim=args.n_sim,
-        k_reps=args.k_reps,
-        seed=args.seed,
-        ci_level=args.ci,
-        min_accepted=args.min_accepted,
-        max_resample_rounds=args.max_resample_rounds,
-    )
+    cfg = CalibrationConfig(n_sim=args.n_sim, k_reps=args.k_reps, seed=args.seed, ci_level=args.ci)
     post = compute_posterior(snapshot)
     result = calibrate(post, cfg, workers=args.threads)
     for message in result.warnings:
@@ -121,8 +114,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "k_reps": cfg.k_reps,
         "seed": cfg.seed,
         "ci_level": cfg.ci_level,
-        "min_accepted": cfg.min_accepted,
-        "max_resample_rounds": cfg.max_resample_rounds,
+        "min_accepted": _MIN_ACCEPTED,
+        "max_resample_rounds": _MAX_RESAMPLE_ROUNDS,
         "max_passes": _MAX_PASSES,
         "threads": args.threads,
         "emit_histograms": bool(args.emit_histograms),
@@ -133,6 +126,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     for i, rate in enumerate(result.pair_acceptance, start=1):
         manifest[f"acceptance_rate_pair_{i}"] = rate
     write_outputs(args.out, files, manifest)
+    # histograms of an earlier run into this directory no longer match its manifest
+    for stale in Path(args.out).glob("hist_*.csv"):
+        if stale.name not in files:
+            stale.unlink()
 
     if args.pretty:
         pretty = [[gc.order, gc.label, _pct(result.grade_means[i]), _pct(result.grade_medians[i]),
@@ -245,10 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--k-reps", dest="k_reps", type=int, default=300)
     cal.add_argument("--seed", type=int, default=42)
     cal.add_argument("--ci", type=float, default=0.90)
-    cal.add_argument("--min-accepted", dest="min_accepted", type=int, default=100)
-    cal.add_argument("--max-resample-rounds", dest="max_resample_rounds", type=int, default=10)
     cal.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for the repetitions (affects speed only)")
+                     help="threads running the repetitions (affects speed only)")
     cal.add_argument("--out", required=True, help="output directory")
     cal.add_argument("--emit-histograms", action="store_true")
     cal.add_argument("--pretty", action="store_true")

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -61,7 +62,6 @@ class TestFitBetaMoments:
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_sim=999), dict(k_reps=0), dict(ci_level=0.0), dict(ci_level=1.0),
-        dict(min_accepted=99), dict(max_resample_rounds=-1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -93,6 +93,39 @@ class TestOracle:
     def test_needs_bounded_density(self):
         with pytest.raises(ValueError, match=">= 1"):
             oracle_conditional_means_2grade(BetaParams(0.5, 2), BetaParams(1, 1))
+
+
+class TestFilteredPair:
+    @staticmethod
+    def replay(lower, upper, n_sim, rng):
+        """The kept draws of one pair step, collected and concatenated."""
+        kept_x, kept_y = [], []
+        while sum(k.size for k in kept_x) < calibrator._MIN_ACCEPTED:
+            x = sample_beta(lower, rng, size=n_sim)
+            y = sample_beta(upper, rng, size=n_sim)
+            keep = x <= y
+            kept_x.append(x[keep])
+            kept_y.append(y[keep])
+        return np.concatenate(kept_x), np.concatenate(kept_y), n_sim * len(kept_x)
+
+    @pytest.mark.parametrize("lower,upper,n_sim,topup", [
+        (BetaParams(5, 95), BetaParams(5, 95), 2000, False),
+        (BetaParams(60, 940), BetaParams(40, 960), 1000, True),  # about 2% kept
+        (BetaParams(50001, 950001), BetaParams(50001, 950001), 20_000, False),
+    ], ids=["one-block", "top-up", "tight-shapes"])
+    def test_refit_from_sums_matches_kept_draws(self, lower, upper, n_sim, topup):
+        cfg = CalibrationConfig(n_sim=n_sim, k_reps=1, seed=8)
+        new_lower, new_upper, accepted, drawn = calibrator._filtered_pair(
+            lower, upper, cfg, RngStream(8, 3), 0)
+        x, y, replay_drawn = self.replay(lower, upper, n_sim, RngStream(8, 3))
+        assert (accepted, drawn) == (x.size, replay_drawn)
+        assert (drawn > n_sim) == topup
+        if topup:
+            assert accepted / drawn < calibrator._MIN_ACCEPTED / n_sim
+        for got, kept in ((new_lower, x), (new_upper, y)):
+            want = fit_beta_moments(float(kept.mean()), float(kept.std()))
+            assert got.alpha == pytest.approx(want.alpha, rel=1e-12)
+            assert got.beta == pytest.approx(want.beta, rel=1e-12)
 
 
 class TestRunSweep:
@@ -161,7 +194,7 @@ class TestRunSweep:
     def test_insufficient_acceptance_fails_loudly(self):
         # hugely inverted, tight grades: the order constraint is never met
         post = portfolio(BetaParams(5001, 5001), BetaParams(1, 10001))
-        cfg = CalibrationConfig(n_sim=1000, k_reps=1, seed=1, max_resample_rounds=3)
+        cfg = CalibrationConfig(n_sim=1000, k_reps=1, seed=1)
         with pytest.raises(InsufficientAcceptanceError, match="pair 1"):
             run_sweep(post, cfg, RngStream(1, 0))
 
@@ -179,6 +212,24 @@ class TestCalibrate:
         assert serial.beta_hat == parallel.beta_hat
         assert np.array_equal(serial.sweep_means, parallel.sweep_means)
         assert serial.pair_acceptance == parallel.pair_acceptance
+
+    def test_draws_happen_in_this_process(self, monkeypatch):
+        # a wrapper on the module global sees every draw at any worker count
+        calls = []
+        lock = threading.Lock()
+
+        def counting(p, rng, size):
+            with lock:
+                calls[-1] += 1
+            return sample_beta(p, rng, size=size)
+
+        monkeypatch.setattr(calibrator, "sample_beta", counting)
+        cfg = CalibrationConfig(n_sim=2000, k_reps=6, seed=12)
+        for workers in (1, 2):
+            calls.append(0)
+            calibrate(self.make_post(), cfg, workers=workers)
+        assert calls[0] > 0
+        assert calls[1] == calls[0]
 
     def test_repeat_run_bit_identical(self):
         cfg = CalibrationConfig(n_sim=2000, k_reps=4, seed=33)
@@ -209,7 +260,7 @@ class TestCalibrate:
 
     def test_error_annotated_with_repetition(self):
         post = portfolio(BetaParams(5001, 5001), BetaParams(1, 10001))
-        cfg = CalibrationConfig(n_sim=1000, k_reps=2, seed=1, max_resample_rounds=2)
+        cfg = CalibrationConfig(n_sim=1000, k_reps=2, seed=1)
         with pytest.raises(InsufficientAcceptanceError, match="repetition 0"):
             calibrate(post, cfg)
 

@@ -91,6 +91,11 @@ class TestCalibrateCommand:
         assert run_calibrate(tame_csv, out2, threads=2) == 0
         assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
 
+    def test_no_threads_exits_2(self, tame_csv, tmp_path, capsys):
+        assert run_calibrate(tame_csv, tmp_path / "out", threads=0) == 2
+        assert "max_workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("k_reps", [5, 1])
     def test_histograms_emitted(self, tame_csv, tmp_path, k_reps):
         out = tmp_path / "out"
@@ -102,6 +107,19 @@ class TestCalibrateCommand:
             header, rows = read_csv_rows(out / f"hist_{order}.csv")
             assert header == ["bin_lo", "bin_hi", "count"]
             assert sum(int(r[2]) for r in rows) == k_reps
+
+    def test_rerun_without_histograms_removes_old_ones(self, tame_csv, tmp_path):
+        out = tmp_path / "out"
+        args = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
+                "--k-reps", "3", "--threads", "1", "--out", str(out)]
+        assert main(args + ["--emit-histograms"]) == 0
+        assert sorted(p.name for p in out.glob("hist_*.csv")) == [
+            "hist_1.csv", "hist_2.csv", "hist_3.csv"]
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        assert main(args) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "calibration.csv", "manifest.json", "notes.txt"]
+        assert json.loads((out / "manifest.json").read_text())["emit_histograms"] is False
 
     def test_failed_write_leaves_previous_outputs(self, tame_csv, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

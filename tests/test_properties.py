@@ -8,9 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 stats = pytest.importorskip("scipy.stats")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from pdcalib.benchmarks import PTConfig, parse_external_csv, pluto_tasche  # noqa: E402
+from pdcalib.benchmarks import (PTConfig, central_tendency, parse_external_csv,  # noqa: E402
+                                pluto_tasche, scale_to_ct)
 from pdcalib.betareg import parse_history_csv  # noqa: E402
 from pdcalib.cohorts import (BinningMap, CohortError, CohortSnapshot, GradeCount,  # noqa: E402
                              apply_binning, parse_cohort_csv)
@@ -43,6 +44,19 @@ def test_pluto_tasche_on_random_portfolios(snapshot, confidence):
         assert bound >= pooled_d / pooled_n
         want = stats.beta.ppf(confidence, pooled_d + 1, pooled_n - pooled_d)
         assert bound == pytest.approx(want, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(portfolios(), st.floats(1e-3, 1e3), st.data())
+def test_scale_to_ct_ignores_rescaling_and_hits_ct(snapshot, c, data):
+    assume(snapshot.total_performing > 0)
+    pds = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(snapshot.grades),
+                             max_size=len(snapshot.grades)))
+    weights = [g.performing_start for g in snapshot.grades]
+    scaled = scale_to_ct(pds, snapshot)
+    assert scale_to_ct([c * pd for pd in pds], snapshot) == pytest.approx(scaled, rel=1e-12)
+    weighted_mean = sum(w * pd for w, pd in zip(weights, scaled)) / sum(weights)
+    assert weighted_mean == pytest.approx(central_tendency(snapshot), rel=1e-12)
 
 
 FILLERS = st.lists(st.sampled_from(["", "   ", "# comment", "#a,b,c"]), max_size=2)
