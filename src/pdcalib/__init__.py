@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .calibrator import (CalibrationConfig, CalibrationResult, SweepResult, calibrate,
                          export_histograms, fit_beta_moments, run_sweep)
-from .cohorts import (BinningMap, CohortSnapshot, GradeCount, apply_binning,
-                      observed_default_rates, parse_cohort_csv)
+from .cohorts import CohortSnapshot, GradeCount, observed_default_rates, parse_cohort_csv
 from .benchmarks import (PTConfig, ScaledComparison, build_comparison, central_tendency,
                          pluto_tasche, scale_to_ct)
 from .betareg import RegressionModel, fit, predict_mean
@@ -26,8 +25,7 @@ __all__ = [
     "__version__",
     "BetaParams", "RngStream", "beta_mean_var", "sample_beta",
     "beta_cdf", "binomial_tail_le", "solve_monotone",
-    "GradeCount", "CohortSnapshot", "BinningMap",
-    "parse_cohort_csv", "apply_binning", "observed_default_rates",
+    "GradeCount", "CohortSnapshot", "parse_cohort_csv", "observed_default_rates",
     "GradePosterior", "PortfolioPosterior", "compute_posterior",
     "CalibrationConfig", "SweepResult", "CalibrationResult",
     "fit_beta_moments", "run_sweep", "calibrate", "export_histograms",

@@ -170,9 +170,12 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
     """Both grades refitted from their index-aligned draws that are in order,
     with the accepted and drawn pair counts.
 
-    The moments come from running sums over the kept draws of each draw
-    minus its distribution's mean, and of that difference squared; the
-    shift keeps tight shapes from losing digits to cancellation.
+    Each block draws ``n_sim`` values per grade from ``rng`` (SFC64 on a
+    SeedSequence spawn key).  The moments come from running sums of each
+    draw minus its distribution's mean, and of that difference squared;
+    the shift keeps tight shapes from losing digits to cancellation.  The
+    sums are taken in place on the drawn array with rejected entries
+    multiplied by zero, so no kept-draw copy is gathered.
     """
     shifts = [p.alpha / (p.alpha + p.beta) for p in (lower, upper)]
     sums = np.zeros((2, 2))  # per grade: sum of differences, sum of their squares
@@ -182,18 +185,25 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
         y = sample_beta(upper, rng, size=cfg.n_sim)
         keep = x <= y
         for grade, draws in enumerate((x, y)):
-            diff = draws[keep]
-            diff -= shifts[grade]
-            sums[grade, 0] += diff.sum()
-            sums[grade, 1] += np.square(diff, out=diff).sum()
+            draws -= shifts[grade]
+            draws *= keep
+            sums[grade, 0] += draws.sum()
+            sums[grade, 1] += np.square(draws, out=draws).sum()
         accepted += int(np.count_nonzero(keep))
         drawn += cfg.n_sim
         if accepted >= _MIN_ACCEPTED:
             break
     if accepted < _MIN_ACCEPTED:
+        message = (f"pair {pair_index + 1}: only {accepted} of {drawn} simulated pairs satisfied "
+                   f"the order constraint (need {_MIN_ACCEPTED}); ")
+        if accepted == 0:
+            raise InsufficientAcceptanceError(message + "grades are too far inverted")
+        # the n_sim whose full top-up budget would expect _MIN_ACCEPTED kept
+        # pairs at this step's acceptance rate, with a 25% noise margin
+        needed = 1.25 * _MIN_ACCEPTED * drawn / (accepted * (_MAX_RESAMPLE_ROUNDS + 1))
         raise InsufficientAcceptanceError(
-            f"pair {pair_index + 1}: only {accepted} of {drawn} simulated pairs satisfied "
-            f"the order constraint (need {_MIN_ACCEPTED}); grades are too far inverted")
+            message + f"at this acceptance rate n_sim needs to be about "
+            f"{1000 * math.ceil(needed / 1000)} or more")
     offset = sums[:, 0] / accepted
     sd = np.sqrt(sums[:, 1] / accepted - offset * offset)
     lower, upper = (fit_beta_moments(float(c + d), float(s)) for c, d, s in zip(shifts, offset, sd))

@@ -20,9 +20,11 @@ Exit codes: 0 success, 2 input validation, 3 numeric/algorithmic failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -121,10 +123,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "emit_histograms": bool(args.emit_histograms),
         "passes_min": min(result.passes),
         "passes_max": max(result.passes),
+        "passes_histogram": {str(p): n for p, n in Counter(result.passes).items()},
         "warnings": "; ".join(result.warnings),
     })
     for i, rate in enumerate(result.pair_acceptance, start=1):
         manifest[f"acceptance_rate_pair_{i}"] = rate
+    # Monte-Carlo standard error of each reported mean; one repetition has none
+    spread = result.sweep_means.std(axis=0, ddof=1) if cfg.k_reps > 1 else None
+    for i in range(len(result.labels)):
+        manifest[f"mc_se_grade_{i + 1}"] = (
+            None if spread is None else float(spread[i]) / math.sqrt(cfg.k_reps))
     write_outputs(args.out, files, manifest)
     # histograms of an earlier run into this directory no longer match its manifest
     for stale in Path(args.out).glob("hist_*.csv"):

@@ -1,4 +1,4 @@
-"""Cohort count data: model, CSV ingestion, grade binning.
+"""Cohort count data: model, CSV ingestion, observed rates.
 
 Input CSV schema, in the shared dialect of ``csvio`` (UTF-8, header
 first, blank and ``#`` lines ignored, errors named by line)::
@@ -14,8 +14,7 @@ re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .csvio import CohortError, read_rows
 
@@ -24,9 +23,7 @@ __all__ = [
     "GradeCount",
     "CohortSnapshot",
     "GradeRate",
-    "BinningMap",
     "parse_cohort_csv",
-    "apply_binning",
     "observed_default_rates",
 ]
 
@@ -93,19 +90,6 @@ class GradeRate:
     has_sample: bool = True
 
 
-@dataclass(frozen=True)
-class BinningMap:
-    """Order-preserving map from raw grade labels to merged grade labels."""
-
-    mapping: Mapping[str, str] = field(default_factory=dict)
-
-    def merged_label(self, raw: str) -> str:
-        try:
-            return self.mapping[raw]
-        except KeyError:
-            raise CohortError(f"uncovered grade {raw!r} in binning map") from None
-
-
 def parse_cohort_csv(source,
                      default_bucket_label: str = DEFAULT_BUCKET_LABEL) -> list[CohortSnapshot]:
     """Parse cohort counts into one snapshot per period (sorted by period label).
@@ -139,34 +123,6 @@ def parse_cohort_csv(source,
     if not snapshots:
         raise CohortError("no cohort rows found")
     return snapshots
-
-
-def apply_binning(snapshot: CohortSnapshot, bmap: BinningMap) -> CohortSnapshot:
-    """Merge grades according to ``bmap``, summing counts within each group.
-
-    The map must cover every grade in the snapshot and must not interleave
-    groups across the raw order; merged grades are renumbered 1..k in raw
-    order.  Total performing and default counts are conserved exactly.
-    """
-    merged_order: list[str] = []
-    sums: dict[str, list[int]] = {}
-    for g in snapshot.grades:
-        target = bmap.merged_label(g.label)
-        if target not in sums:
-            if merged_order and target in merged_order[:-1]:
-                raise CohortError(
-                    f"binning map interleaves group {target!r} across the grade order")
-            if not merged_order or merged_order[-1] != target:
-                merged_order.append(target)
-            sums[target] = [0, 0]
-        elif merged_order[-1] != target:
-            raise CohortError(f"binning map interleaves group {target!r} across the grade order")
-        sums[target][0] += g.performing_start
-        sums[target][1] += g.defaults_end
-    grades = tuple(
-        GradeCount(i, label, sums[label][0], sums[label][1])
-        for i, label in enumerate(merged_order, start=1))
-    return CohortSnapshot(snapshot.period, grades)
 
 
 def observed_default_rates(snapshot: CohortSnapshot) -> list[GradeRate]:

@@ -1,14 +1,14 @@
 """Statistical kernels shared by the whole package.
 
-Beta variates come from numpy's ``Generator`` on counter-based Philox
-streams and log-gamma from ``math.lgamma``.  On top of numpy array
-arithmetic the module adds the log beta function (with Stirling's series
-where lgamma differences would cancel), the regularized incomplete beta
-function through a Lentz-style continued fraction with a shape-scaled
-iteration budget, binomial tail probabilities through the incomplete-beta
-identity, and a safeguarded Newton root finder for monotone targets that
-falls back to bisection.  Iterative kernels converge or raise
-ConvergenceError; they never return a truncated result.
+Beta variates come from numpy's ``Generator`` on SFC64 streams seeded
+by ``SeedSequence`` spawn keys, and log-gamma from ``math.lgamma``.  On
+top of numpy array arithmetic the module adds the log beta function (with
+Stirling's series where lgamma differences would cancel), the regularized
+incomplete beta function through a Lentz-style continued fraction with a
+shape-scaled iteration budget, binomial tail probabilities through the
+incomplete-beta identity, and a safeguarded Newton root finder for
+monotone targets that falls back to bisection.  Iterative kernels
+converge or raise ConvergenceError; they never return a truncated result.
 
 ``log_beta``, ``beta_cdf``, ``binomial_tail_le`` and ``solve_monotone``
 work elementwise on scalars or numpy arrays, so one call serves a whole
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 __all__ = [
     "BetaParams",
@@ -68,13 +68,16 @@ class BetaParams:
 class RngStream(Generator):
     """Reproducible, partitionable source of random variates.
 
-    A numpy ``Generator`` keyed by ``(seed, stream_id)`` on a counter-based
-    Philox generator: the same pair always replays the same sequence, and
-    distinct stream ids give statistically independent sequences no matter
-    how many draws each one makes.  A stream holds mutable position state
-    and must be owned by exactly one consumer at a time; creating one is
-    cheap.  For a fixed key the variates also depend on the numpy version,
-    which does not promise stable distribution streams across releases.
+    A numpy ``Generator`` on an SFC64 bit generator seeded by
+    ``SeedSequence(seed, spawn_key=(stream_id,))``, numpy's scheme for
+    independent parallel streams: the same ``(seed, stream_id)`` always
+    replays the same sequence, and distinct pairs hash to unrelated
+    256-bit starting states.  SFC64's 64-bit counter guarantees each
+    stream a period of at least 2**64 draws.  A stream holds mutable
+    position state and must be owned by exactly one consumer at a time;
+    creating one is cheap.  For a fixed key the variates also depend on
+    the numpy version, which does not promise stable distribution streams
+    across releases.
     """
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
@@ -84,9 +87,7 @@ class RngStream(Generator):
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         if not 0 <= stream_id <= _U64_MAX:
             raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
-        # 128-bit Philox key: seed in the high word, stream id in the low
-        # word, so the (seed, stream_id) -> key map is injective.
-        super().__init__(Philox(key=(seed << 64) | stream_id))
+        super().__init__(SFC64(SeedSequence(seed, spawn_key=(stream_id,))))
 
 
 def beta_mean_var(p: BetaParams) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from pdcalib import calibrator, csvio, statdist
 from pdcalib.cli import main
+from pdcalib.cohorts import parse_cohort_csv
+from pdcalib.posterior import compute_posterior
 
 TAME_CSV = """period,grade_order,grade_label,performing_start,defaults_end
 T1,1,A,800,8
@@ -56,6 +59,26 @@ class TestCalibrateCommand:
         assert manifest["numpy_version"] == np.__version__
         assert "acceptance_rate_pair_1" in manifest and "input_digest" in manifest
         assert (out / "calibration.csv").read_text().startswith("# manifest: manifest.json\n")
+        # noise figures: sd of the per-repetition means over sqrt(k_reps), and passes
+        histogram = manifest["passes_histogram"]
+        assert sum(histogram.values()) == 4
+        assert min(map(int, histogram)) == manifest["passes_min"]
+        assert max(map(int, histogram)) == manifest["passes_max"]
+        post = compute_posterior(parse_cohort_csv(tame_csv)[0])
+        sweeps = calibrator.calibrate(post, calibrator.CalibrationConfig(1000, 4, 7)).sweep_means
+        for i, want in enumerate(sweeps.std(axis=0, ddof=1) / 2.0, start=1):
+            assert manifest[f"mc_se_grade_{i}"] == pytest.approx(want, rel=1e-12)
+            assert 0.0 < want < float(rows[i - 1][10]) - float(rows[i - 1][9])
+        assert "mc_se_grade_4" not in manifest
+        assert not any("mc_se" in line or "passes" in line
+                       for line in (out / "calibration.csv").read_text().splitlines())
+
+    def test_single_rep_has_no_standard_error(self, tame_csv, tmp_path):
+        out = tmp_path / "out"
+        assert run_calibrate(tame_csv, out, k_reps=1) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [manifest[f"mc_se_grade_{i}"] for i in (1, 2, 3)] == [None, None, None]
+        assert sum(manifest["passes_histogram"].values()) == 1
 
     def test_single_rep_collapses_interval(self, tame_csv, tmp_path):
         out = tmp_path / "out"
@@ -83,7 +106,19 @@ class TestCalibrateCommand:
         rc = main(["calibrate", "--input", str(bad), "--period", "T1", "--n-sim", "1000",
                    "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert "order constraint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "order constraint" in err and "too far inverted" in err
+
+    def test_thin_acceptance_names_a_workable_n_sim(self, fixture_csv, tmp_path, capsys):
+        # period 2016 keeps about 0.1% of pair 5's draws: 2000 is too few
+        args = ["calibrate", "--input", str(fixture_csv), "--period", "2016", "--k-reps", "1",
+                "--threads", "1", "--out", str(tmp_path / "o")]
+        assert main(args + ["--n-sim", "2000"]) == 3
+        err = capsys.readouterr().err
+        assert "pair 5" in err and "too far inverted" not in err
+        needed = int(re.search(r"n_sim needs to be about (\d+) or more", err).group(1))
+        assert needed > 2000 and needed % 1000 == 0
+        assert main(args + ["--n-sim", str(needed)]) == 0
 
     def test_thread_count_does_not_change_bytes(self, tame_csv, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"

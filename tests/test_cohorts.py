@@ -2,8 +2,8 @@ import io
 
 import pytest
 
-from pdcalib.cohorts import (BinningMap, CohortError, CohortSnapshot, GradeCount, apply_binning,
-                             observed_default_rates, parse_cohort_csv)
+from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount, observed_default_rates,
+                             parse_cohort_csv)
 
 HEADER = "period,grade_order,grade_label,performing_start,defaults_end\n"
 
@@ -49,60 +49,6 @@ class TestParse:
     def test_bad_header(self):
         with pytest.raises(CohortError, match="expected header"):
             parse_cohort_csv(io.StringIO("a,b,c\n1,2,3\n"))
-
-
-class TestBinning:
-    def test_notch_merge(self):
-        snap = make_snapshot("t", [(1, "BBB+", 100, 1), (2, "BBB", 200, 2), (3, "BBB-", 300, 3),
-                                   (4, "BB", 50, 5)])
-        merged = apply_binning(snap, BinningMap({"BBB+": "BBB", "BBB": "BBB", "BBB-": "BBB",
-                                                 "BB": "BB"}))
-        assert merged.grades[0] == GradeCount(1, "BBB", 600, 6)
-        assert merged.grades[1] == GradeCount(2, "BB", 50, 5)
-
-    def test_identity_map(self, snapshot_2016):
-        identity = BinningMap({lbl: lbl for lbl in snapshot_2016.labels})
-        merged = apply_binning(snapshot_2016, identity)
-        assert merged.labels == snapshot_2016.labels
-        assert [(g.performing_start, g.defaults_end) for g in merged.grades] == \
-               [(g.performing_start, g.defaults_end) for g in snapshot_2016.grades]
-
-    def test_full_scale_merge_matches_fixture(self, snapshot_2016):
-        # a 22-notch scale whose merged totals must reproduce the fixture rows
-        raw_rows = [
-            (1, "AAA", 14, 0),
-            (2, "AA+", 20, 0), (3, "AA", 83, 0), (4, "AA-", 50, 0),
-            (5, "A+", 300, 0), (6, "A", 334, 0), (7, "A-", 300, 0),
-            (8, "BBB+", 600, 0), (9, "BBB", 614, 0), (10, "BBB-", 600, 0),
-            (11, "BB+", 470, 18), (12, "BB", 500, 22), (13, "BB-", 500, 20),
-            (14, "B+", 400, 8), (15, "B", 425, 9), (16, "B-", 400, 8),
-            (17, "CCC+", 110, 12), (18, "CCC", 109, 14), (19, "CCC-", 110, 12),
-            (20, "CC", 29, 1),
-        ]
-        groups = {"AAA": "AAA", "AA+": "AA", "AA": "AA", "AA-": "AA",
-                  "A+": "A", "A": "A", "A-": "A",
-                  "BBB+": "BBB", "BBB": "BBB", "BBB-": "BBB",
-                  "BB+": "BB", "BB": "BB", "BB-": "BB",
-                  "B+": "B", "B": "B", "B-": "B",
-                  "CCC+": "CCC", "CCC": "CCC", "CCC-": "CCC", "CC": "CC"}
-        merged = apply_binning(make_snapshot("2016", raw_rows), BinningMap(groups))
-        assert merged.grades == snapshot_2016.grades
-
-    def test_conserves_totals(self):
-        snap = make_snapshot("t", [(i, f"g{i}", 100 * i, i) for i in range(1, 9)])
-        merged = apply_binning(snap, BinningMap({f"g{i}": f"m{(i - 1) // 3}" for i in range(1, 9)}))
-        assert merged.total_performing == snap.total_performing
-        assert merged.total_defaults == snap.total_defaults
-
-    def test_uncovered_grade(self):
-        snap = make_snapshot("t", [(1, "A", 10, 0), (2, "B", 10, 0)])
-        with pytest.raises(CohortError, match="uncovered grade"):
-            apply_binning(snap, BinningMap({"A": "A"}))
-
-    def test_interleaved_groups_rejected(self):
-        snap = make_snapshot("t", [(1, "A", 10, 0), (2, "B", 10, 0), (3, "C", 10, 0)])
-        with pytest.raises(CohortError, match="interleaves"):
-            apply_binning(snap, BinningMap({"A": "x", "B": "y", "C": "x"}))
 
 
 class TestObservedRates:

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from pdcalib.benchmarks import (PTConfig, central_tendency, parse_external_csv,  # noqa: E402
                                 pluto_tasche, scale_to_ct)
 from pdcalib.betareg import parse_history_csv  # noqa: E402
-from pdcalib.cohorts import (BinningMap, CohortError, CohortSnapshot, GradeCount,  # noqa: E402
-                             apply_binning, parse_cohort_csv)
+from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount,  # noqa: E402
+                             parse_cohort_csv)
 
 
 @st.composite
@@ -124,34 +124,3 @@ def test_bad_row_reported_at_its_line(parse, header, good, bad, data):
     with pytest.raises(CohortError) as excinfo:
         parse(io.StringIO(text))
     assert excinfo.value.line == line
-
-
-@st.composite
-def binned_portfolios(draw):
-    """A portfolio of 1-20 grades and a contiguous grouping of its grades."""
-    rows = []
-    for order in range(1, draw(st.integers(1, 20)) + 1):
-        n = draw(st.integers(0, 10_000))
-        rows.append(GradeCount(order, f"g{order}", n, draw(st.integers(0, n))))
-    cuts = draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else set()
-    group = 0
-    mapping = {}
-    for index, g in enumerate(rows):
-        if index in cuts:
-            group += 1
-        mapping[g.label] = f"m{group}"
-    return CohortSnapshot("t", tuple(rows)), BinningMap(mapping)
-
-
-@settings(max_examples=100, deadline=None)
-@given(binned_portfolios())
-def test_binning_conserves_counts(portfolio):
-    snapshot, bmap = portfolio
-    merged = apply_binning(snapshot, bmap)
-    assert merged.total_performing == snapshot.total_performing
-    assert merged.total_defaults == snapshot.total_defaults
-    for grade in merged.grades:
-        members = [g for g in snapshot.grades if bmap.mapping[g.label] == grade.label]
-        assert grade.performing_start == sum(g.performing_start for g in members)
-        assert grade.defaults_end == sum(g.defaults_end for g in members)
-    assert [g.order for g in merged.grades] == list(range(1, len(set(bmap.mapping.values())) + 1))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import SFC64, Generator, SeedSequence
 
 from pdcalib import statdist
 from pdcalib.statdist import (BetaParams, BracketError, ConvergenceError, RngStream,
@@ -56,6 +57,27 @@ class TestRngStream:
     def test_key_bounds(self, seed, stream):
         with pytest.raises(ValueError):
             RngStream(seed, stream)
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (42, 3), ((1 << 64) - 1, (1 << 64) - 1)])
+    def test_keyed_by_seed_sequence_spawn_key(self, seed, stream):
+        want = Generator(SFC64(SeedSequence(seed, spawn_key=(stream,)))).random(1000)
+        assert np.array_equal(RngStream(seed, stream).random(1000), want)
+
+    def test_swapped_keys_differ(self):
+        assert not np.array_equal(RngStream(1, 2).random(1000), RngStream(2, 1).random(1000))
+
+    def test_first_draws_across_streams_are_uniform_and_uncorrelated(self):
+        # the first uniform of each of 20,000 streams of one seed: KS statistic
+        # below the 0.1% critical value, and adjacent streams' lag-1
+        # correlation within 4 standard errors of 0
+        n = 20_000
+        first = np.array([RngStream(2024, k).random() for k in range(n)])
+        grid = np.arange(1, n + 1) / n
+        ordered = np.sort(first)
+        d_stat = max(np.max(np.abs(ordered - grid)), np.max(np.abs(ordered - (grid - 1.0 / n))))
+        assert d_stat < 1.94947 / math.sqrt(n)
+        lag1 = np.corrcoef(first[:-1], first[1:])[0, 1]
+        assert abs(lag1) < 4.0 / math.sqrt(n - 1)
 
 
 class TestSampleBeta:
