@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .calibrator import (CalibrationConfig, CalibrationResult, SweepResult, calibrate,
                          export_histograms, fit_beta_moments, run_sweep)
 from .cohorts import CohortSnapshot, GradeCount, observed_default_rates, parse_cohort_csv
-from .benchmarks import (PTConfig, ScaledComparison, build_comparison, central_tendency,
-                         pluto_tasche, scale_to_ct)
+from .benchmarks import build_comparison, central_tendency, pluto_tasche, scale_to_ct
 from .betareg import RegressionModel, fit, predict_mean
 from .posterior import GradePosterior, PortfolioPosterior, compute_posterior
 from .statdist import (BetaParams, RngStream, beta_cdf, beta_mean_var, binomial_tail_le,
@@ -29,7 +28,6 @@ __all__ = [
     "GradePosterior", "PortfolioPosterior", "compute_posterior",
     "CalibrationConfig", "SweepResult", "CalibrationResult",
     "fit_beta_moments", "run_sweep", "calibrate", "export_histograms",
-    "PTConfig", "ScaledComparison", "central_tendency", "pluto_tasche",
-    "scale_to_ct", "build_comparison",
+    "central_tendency", "pluto_tasche", "scale_to_ct", "build_comparison",
     "RegressionModel", "fit", "predict_mean",
 ]

@@ -6,26 +6,24 @@ confidence level, with the defaults observed in the pooled cohort of grade
 i and everything worse.  That PD is the upper Clopper-Pearson bound, a
 quantile of Beta(D + 1, N - D) for the pooled counts; every grade's
 quantile comes from one elementwise safeguarded Newton solve on the
-binomial tail.  All method columns are put on a common footing by
-scaling each one so its count-weighted average equals the portfolio
+binomial tail, and a running maximum from best to worst grade keeps the
+bounds monotone.  All method columns (simulated, most-prudent and any
+external ones read by ``parse_external_csv``) are put on a common footing
+by scaling each one so its count-weighted average equals the portfolio
 central tendency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .calibrator import CalibrationResult
 from .cohorts import CohortSnapshot
-from .csvio import CohortError, read_rows
+from .csvio import CohortError, bare_cell, finite, read_rows
 from .statdist import binomial_tail_le, log_beta, solve_monotone
 
 __all__ = [
-    "PTConfig",
-    "ScaledComparison",
     "central_tendency",
     "pluto_tasche",
     "scale_to_ct",
@@ -39,30 +37,6 @@ _THETA_LO = 1e-12
 _THETA_HI = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
-class PTConfig:
-    """Most-prudent estimation settings."""
-
-    confidence: float = 0.75
-    enforce_monotone: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
-
-
-@dataclass(frozen=True)
-class ScaledComparison:
-    """Per-grade PDs from several methods, all scaled to the central tendency."""
-
-    labels: tuple[str, ...]
-    grade_orders: tuple[int, ...]
-    central_tendency: float
-    columns: dict[str, tuple[float, ...]]
-    total_performing: int
-    total_defaults: int
-
-
 def central_tendency(snapshot: CohortSnapshot) -> float:
     """Portfolio average default rate over the non-default grades."""
     n = snapshot.total_performing
@@ -71,7 +45,7 @@ def central_tendency(snapshot: CohortSnapshot) -> float:
     return snapshot.total_defaults / n
 
 
-def pluto_tasche(snapshot: CohortSnapshot, cfg: PTConfig = PTConfig()) -> list[float]:
+def pluto_tasche(snapshot: CohortSnapshot, confidence: float = 0.75) -> list[float]:
     """Most-prudent per-grade PDs from cumulated counts.
 
     Grade i pools the counts of grades i..m (toward the worst grade) and
@@ -81,9 +55,11 @@ def pluto_tasche(snapshot: CohortSnapshot, cfg: PTConfig = PTConfig()) -> list[f
     the pooled cohort the bound is 1.  All other grades are solved together
     by one safeguarded Newton iteration on the binomial tail, whose
     derivative in theta is minus that beta density; each grade starts at
-    the beta mean and stops on a relative step of 1e-12.  With
-    ``enforce_monotone`` a running maximum is applied from best to worst.
+    the beta mean and stops on a relative step of 1e-12.  A running
+    maximum is then applied from best to worst grade.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     grades = snapshot.grades[::-1]
     n_pool = np.cumsum([g.performing_start for g in grades])[::-1]
     d_pool = np.cumsum([g.defaults_end for g in grades])[::-1]
@@ -97,11 +73,9 @@ def pluto_tasche(snapshot: CohortSnapshot, cfg: PTConfig = PTConfig()) -> list[f
 
     pds = np.ones(len(n_pool))
     pds[solved] = solve_monotone(
-        lambda theta: binomial_tail_le(n, d, theta), 1.0 - cfg.confidence,
+        lambda theta: binomial_tail_le(n, d, theta), 1.0 - confidence,
         _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=(d + 1.0) / (n + 1.0))
-    if cfg.enforce_monotone:
-        pds = np.maximum.accumulate(pds)
-    return pds.tolist()
+    return np.maximum.accumulate(pds).tolist()
 
 
 def scale_to_ct(pds: Sequence[float], snapshot: CohortSnapshot) -> list[float]:
@@ -125,48 +99,37 @@ def scale_to_ct(pds: Sequence[float], snapshot: CohortSnapshot) -> list[float]:
 
 def build_comparison(
     snapshot: CohortSnapshot,
-    calib: CalibrationResult | Sequence[float],
+    simulated: Sequence[float],
     pt_pds: Sequence[float],
     external: dict[str, Sequence[float]] | None = None,
-) -> ScaledComparison:
-    """Assemble a scaled comparison table: simulated, most-prudent, externals.
+) -> dict[str, list[float]]:
+    """Scaled columns by method name: simulated, most-prudent, then externals.
 
-    ``calib`` may be a CalibrationResult or a plain per-grade mean vector.
     External columns (PDs transcribed from other methods) pass through the
     identical scaling.  Column lengths are validated by name.
     """
-    simulated = list(calib.grade_means) if isinstance(calib, CalibrationResult) else list(calib)
-    raw_columns: dict[str, Sequence[float]] = {"simulated": simulated, "pluto_tasche": list(pt_pds)}
-    for name, col in (external or {}).items():
-        raw_columns[name] = list(col)
+    raw_columns = {"simulated": simulated, "pluto_tasche": pt_pds, **(external or {})}
     m = len(snapshot.grades)
-    columns: dict[str, tuple[float, ...]] = {}
     for name, col in raw_columns.items():
         if len(col) != m:
             raise ValueError(f"column {name!r} has {len(col)} entries, expected {m}")
-        columns[name] = tuple(scale_to_ct(col, snapshot))
-    return ScaledComparison(
-        labels=snapshot.labels,
-        grade_orders=tuple(g.order for g in snapshot.grades),
-        central_tendency=central_tendency(snapshot),
-        columns=columns,
-        total_performing=snapshot.total_performing,
-        total_defaults=snapshot.total_defaults,
-    )
+    return {name: scale_to_ct(col, snapshot) for name, col in raw_columns.items()}
 
 
 def parse_external_csv(source) -> dict[str, dict[int, float]]:
     """Read external method columns from `grade_order,method_name,pd` rows.
 
     Returns method name -> {grade_order: pd}; alignment with a snapshot's
-    grade orders happens at comparison time.
+    grade orders happens at comparison time.  A method name becomes a
+    header cell of comparison.csv, so it must need no CSV quoting; a pd
+    must be a number in [0, 1].
     """
     methods: dict[str, dict[int, float]] = {}
 
     def convert(cells: list[str]) -> None:
-        order, name, pd = int(cells[0]), cells[1], float(cells[2])
-        if not name:
-            raise ValueError("empty method name")
+        order, name, pd = int(cells[0]), bare_cell(cells[1], "method name"), finite(cells[2])
+        if not 0.0 <= pd <= 1.0:
+            raise ValueError(f"pd must lie in [0, 1], got {cells[2]}")
         column = methods.setdefault(name, {})
         if order in column:
             raise ValueError(f"duplicate grade order {order} for {name!r}")
@@ -180,12 +143,8 @@ def parse_external_csv(source) -> dict[str, dict[int, float]]:
 
 def align_external(methods: dict[str, dict[int, float]], snapshot: CohortSnapshot) -> dict[str, list[float]]:
     """Order external columns along the snapshot's grades, erroring by name."""
-    aligned: dict[str, list[float]] = {}
     for name, column in methods.items():
-        values = []
-        for g in snapshot.grades:
-            if g.order not in column:
-                raise ValueError(f"column {name!r}: missing grade order {g.order}")
-            values.append(column[g.order])
-        aligned[name] = values
-    return aligned
+        missing = [g.order for g in snapshot.grades if g.order not in column]
+        if missing:
+            raise ValueError(f"column {name!r}: missing grade order {missing[0]}")
+    return {name: [column[g.order] for g in snapshot.grades] for name, column in methods.items()}

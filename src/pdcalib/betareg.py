@@ -5,8 +5,9 @@ to exogenous variables (macro factors and the like) so PDs can be
 predicted for periods without default data.  The response is treated as
 beta distributed with mean inverse-link(linear predictor); fitting is
 plain least squares on the link scale, the smallest estimator that is
-exact whenever the data sit on the link surface.  The dispersion value
-only shapes the implied beta parameters, never the predicted mean.
+exact whenever the data sit on the link surface.  The link is always
+``LINK``.  The dispersion is moment matched and only reported (in
+``model.json``); it never shapes the predicted mean.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import CohortError, read_rows
-from .statdist import BetaParams
+from .csvio import CohortError, finite, read_rows
 
-__all__ = ["RegressionModel", "fit", "predict_mean", "parse_history_csv", "logit", "inv_logit"]
+__all__ = ["LINK", "RegressionModel", "fit", "predict_mean", "parse_history_csv", "logit",
+           "inv_logit"]
+
+LINK = "logit"
 
 _MU_CLIP = 1e-15
 _PRECISION_CAP = 1e12
@@ -43,37 +46,32 @@ def inv_logit(z: float) -> float:
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """Intercept, slope coefficients, link name and beta dispersion."""
+    """Intercept, slope coefficients and beta dispersion."""
 
     intercept: float
     coefficients: tuple[float, ...]
-    link: str = "logit"
     precision: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if self.link != "logit":
-            raise ValueError(f"unsupported link {self.link!r}")
         if not self.precision > 0.0:
             raise ValueError(f"precision must be positive, got {self.precision}")
 
 
-def predict_mean(model: RegressionModel, y: Sequence[float]) -> tuple[float, BetaParams]:
-    """Predicted mean for one regressor vector, plus the implied beta shapes.
+def predict_mean(model: RegressionModel, y: Sequence[float]) -> float:
+    """Predicted mean inv_logit(intercept + sum(coef * y)) for one regressor vector.
 
-    mu = inv_logit(intercept + sum(coef * y)); the implied distribution is
-    Beta(mu * precision, (1 - mu) * precision).  The mean is clipped a hair
-    inside (0, 1) so the shapes stay valid even for saturating predictors.
+    The mean is clipped a hair inside (0, 1), so even a saturating
+    predictor gives a mean that ``fit`` accepts back as history.
     """
     if len(y) != len(model.coefficients):
         raise ValueError(
             f"regressor vector has {len(y)} entries, model expects {len(model.coefficients)}")
     z = model.intercept + sum(c * float(v) for c, v in zip(model.coefficients, y))
-    mu = min(max(inv_logit(z), _MU_CLIP), 1.0 - _MU_CLIP)
-    return mu, BetaParams(mu * model.precision, (1.0 - mu) * model.precision)
+    return min(max(inv_logit(z), _MU_CLIP), 1.0 - _MU_CLIP)
 
 
-def fit(history: Sequence[tuple[Sequence[float], float]], link: str = "logit") -> RegressionModel:
+def fit(history: Sequence[tuple[Sequence[float], float]]) -> RegressionModel:
     """Least-squares fit of link(mu) on the regressors.
 
     ``history`` holds (regressor vector, calibrated mean) pairs; all means
@@ -82,8 +80,6 @@ def fit(history: Sequence[tuple[Sequence[float], float]], link: str = "logit") -
     dispersion is moment matched from the response-scale residual
     variance and capped when the fit is (numerically) exact.
     """
-    if link != "logit":
-        raise ValueError(f"unsupported link {link!r}")
     if not history:
         raise ValueError("history is empty")
     k = len(history[0][0])
@@ -115,7 +111,6 @@ def fit(history: Sequence[tuple[Sequence[float], float]], link: str = "logit") -
     return RegressionModel(
         intercept=float(coef[0]),
         coefficients=tuple(float(c) for c in coef[1:]),
-        link=link,
         precision=precision,
     )
 
@@ -124,7 +119,7 @@ def parse_history_csv(source) -> tuple[list[str], list[tuple[tuple[float, ...], 
     """Read fitting history from `period,mu,y1,...,yk` rows.
 
     Returns (period labels, [(regressor vector, mu), ...]).  ``k`` may be
-    zero (an intercept-only model).
+    zero (an intercept-only model).  Every number must be finite.
     """
     def header(width: int) -> tuple[str, ...]:
         return ("period", "mu", *(f"y{i}" for i in range(1, width - 1)))
@@ -133,7 +128,7 @@ def parse_history_csv(source) -> tuple[list[str], list[tuple[tuple[float, ...], 
 
     def convert(cells: list[str]) -> tuple[tuple[float, ...], float]:
         periods.append(cells[0])
-        return tuple(float(c) for c in cells[2:]), float(cells[1])
+        return tuple(finite(c) for c in cells[2:]), finite(cells[1])
 
     history = read_rows(source, header, convert)
     if not history:

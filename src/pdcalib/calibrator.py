@@ -37,7 +37,6 @@ __all__ = [
     "CalibrationConfig",
     "SweepResult",
     "CalibrationResult",
-    "GradeHistogram",
     "VarianceTooLargeError",
     "InsufficientAcceptanceError",
     "SweepNotConvergedError",
@@ -58,6 +57,9 @@ _MAX_PASSES = 500
 # take to reach them before InsufficientAcceptanceError.
 _MIN_ACCEPTED = 100
 _MAX_RESAMPLE_ROUNDS = 10
+
+# Fixed-width bins of each grade's exported histogram.
+_HIST_BINS = 30
 
 
 class VarianceTooLargeError(ValueError):
@@ -119,9 +121,6 @@ class CalibrationResult:
     """
 
     labels: tuple[str, ...]
-    n_sim: int
-    k_reps: int
-    ci_level: float
     grade_means: tuple[float, ...]
     grade_medians: tuple[float, ...]
     ci_lower: tuple[float, ...]
@@ -132,15 +131,6 @@ class CalibrationResult:
     pair_acceptance: tuple[float, ...]
     passes: tuple[int, ...]
     warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class GradeHistogram:
-    """Fixed-width binned frequency table of one grade's sweep means."""
-
-    label: str
-    bin_edges: tuple[float, ...]  # len(counts) + 1, or (v, v) when degenerate
-    counts: tuple[int, ...]
 
 
 def fit_beta_moments(sample_mean: float, sample_sd: float) -> BetaParams:
@@ -275,9 +265,6 @@ def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1
         for g in post.grades if g.performing_start == 0)
     return CalibrationResult(
         labels=post.labels,
-        n_sim=cfg.n_sim,
-        k_reps=cfg.k_reps,
-        ci_level=cfg.ci_level,
         grade_means=tuple(float(v) for v in mean_matrix.mean(axis=0)),
         grade_medians=tuple(float(v) for v in np.median(mean_matrix, axis=0)),
         ci_lower=tuple(float(v) for v in np.quantile(mean_matrix, tail, axis=0)),
@@ -331,23 +318,19 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams, grid: int = 
     return mean1, mean2
 
 
-def export_histograms(result: CalibrationResult, bins: int = 30) -> list[GradeHistogram]:
-    """Per-grade binned frequencies of the k_reps sweep means.
+def export_histograms(result: CalibrationResult) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
+    """Per-grade ``(bin edges, counts)`` of the k_reps sweep means.
 
-    Bins are fixed-width spanning that grade's min..max; a degenerate
-    grade (all repetitions equal) collapses to a single occupied bin.
+    ``_HIST_BINS`` fixed-width bins span that grade's min..max, so there is
+    one more edge than counts; a degenerate grade (all repetitions equal)
+    collapses to the edges ``(v, v)`` around a single occupied bin.
     """
-    if bins < 1:
-        raise ValueError("bins must be positive")
     out = []
-    for j, label in enumerate(result.labels):
-        values = result.sweep_means[:, j]
-        lo = float(values.min())
-        hi = float(values.max())
+    for values in result.sweep_means.T:
+        lo, hi = float(values.min()), float(values.max())
         if lo == hi:
-            out.append(GradeHistogram(label, (lo, hi), (int(values.size),)))
+            out.append(((lo, hi), (int(values.size),)))
             continue
-        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-        out.append(GradeHistogram(label, tuple(float(e) for e in edges),
-                                  tuple(int(c) for c in counts)))
+        counts, edges = np.histogram(values, bins=_HIST_BINS, range=(lo, hi))
+        out.append((tuple(edges.tolist()), tuple(counts.tolist())))
     return out

@@ -28,15 +28,16 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .benchmarks import (PTConfig, align_external, build_comparison, parse_external_csv,
+from .benchmarks import (align_external, build_comparison, central_tendency, parse_external_csv,
                          pluto_tasche)
+from .betareg import LINK, parse_history_csv, predict_mean
 from .betareg import fit as fit_regression
-from .betareg import parse_history_csv, predict_mean
 from .calibrator import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
                          InsufficientAcceptanceError, SweepNotConvergedError,
                          VarianceTooLargeError, calibrate, export_histograms)
 from .cohorts import CohortError, CohortSnapshot, observed_default_rates, parse_cohort_csv
-from .csvio import MANIFEST, csv_text, envelope, json_text, read_rows, write_outputs
+from .csvio import (MANIFEST, bare_cell, csv_text, envelope, finite, json_text, read_rows,
+                    write_outputs)
 from .posterior import compute_posterior
 from .statdist import BracketError, ConvergenceError
 
@@ -93,19 +94,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
 
-    rows = []
-    for idx, (gc, observed) in enumerate(zip(snapshot.grades, observed_default_rates(snapshot))):
-        rows.append([
-            gc.order, gc.label, gc.performing_start, gc.defaults_end, _fmt(observed.rate),
-            _fmt(result.alpha_hat[idx]), _fmt(result.beta_hat[idx]),
-            _fmt(result.grade_means[idx]), _fmt(result.grade_medians[idx]),
-            _fmt(result.ci_lower[idx]), _fmt(result.ci_upper[idx]),
-        ])
+    observed = observed_default_rates(snapshot)
+    # per-grade columns after observed_rate, in CALIBRATION_HEADER order
+    columns = (result.alpha_hat, result.beta_hat, result.grade_means, result.grade_medians,
+               result.ci_lower, result.ci_upper)
+    rows = [[gc.order, gc.label, gc.performing_start, gc.defaults_end, _fmt(observed[i]),
+             *(_fmt(column[i]) for column in columns)] for i, gc in enumerate(snapshot.grades)]
     files = {"calibration.csv": csv_text(CALIBRATION_HEADER, rows)}
     if args.emit_histograms:
-        for gc, hist in zip(snapshot.grades, export_histograms(result)):
+        for gc, (edges, counts) in zip(snapshot.grades, export_histograms(result)):
             hist_rows = [[_fmt(lo), _fmt(hi), count]
-                         for lo, hi, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)]
+                         for lo, hi, count in zip(edges, edges[1:], counts)]
             files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"), hist_rows)
 
     manifest = envelope("calibrate", started, input=input_path)
@@ -140,8 +139,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             stale.unlink()
 
     if args.pretty:
-        pretty = [[gc.order, gc.label, _pct(result.grade_means[i]), _pct(result.grade_medians[i]),
-                   _pct(result.ci_lower[i]), _pct(result.ci_upper[i])]
+        pretty = [[gc.order, gc.label, *(_pct(column[i]) for column in columns[2:])]
                   for i, gc in enumerate(snapshot.grades)]
         _print_pretty(f"Calibrated PDs, period {snapshot.period} "
                       f"(n_sim={cfg.n_sim}, k_reps={cfg.k_reps})",
@@ -158,43 +156,40 @@ def cmd_compare(args: argparse.Namespace) -> int:
     snapshot = _select_snapshot(snapshots, args.period)
     # (grade order, label, mean) of each calibrated grade
     calibrated = read_rows(calibration_path, CALIBRATION_HEADER,
-                           lambda cells: (int(cells[0]), cells[1], float(cells[7])))
+                           lambda cells: (int(cells[0]), cells[1], finite(cells[7])))
     if [row[:2] for row in calibrated] != [(g.order, g.label) for g in snapshot.grades]:
         raise CohortError(
             "calibration column mismatch: grade orders/labels differ from the input period")
 
-    pt_cfg = PTConfig(confidence=args.pt_confidence)
-    pt_pds = pluto_tasche(snapshot, pt_cfg)
-    external_cols = None
-    if external_path:
-        external_cols = align_external(parse_external_csv(external_path), snapshot)
-    comparison = build_comparison(snapshot, [mean for _, _, mean in calibrated], pt_pds,
-                                  external_cols)
+    pt_pds = pluto_tasche(snapshot, args.pt_confidence)
+    external = (align_external(parse_external_csv(external_path), snapshot)
+                if external_path else None)
+    columns = build_comparison(snapshot, [mean for _, _, mean in calibrated], pt_pds, external)
+    ct = central_tendency(snapshot)
 
-    methods = list(comparison.columns)
+    methods = list(columns)
     header = ("grade_order", "label", *methods)
-    rows = []
-    for i, (order, label) in enumerate(zip(comparison.grade_orders, comparison.labels)):
-        rows.append([order, label, *(_fmt(comparison.columns[m][i]) for m in methods)])
+    rows = [[g.order, g.label, *(_fmt(columns[m][i]) for m in methods)]
+            for i, g in enumerate(snapshot.grades)]
 
     manifest = envelope("compare", started, input=input_path, calibration=calibration_path,
                         external=external_path)
     manifest.update({
         "period": snapshot.period,
-        "pt_confidence": pt_cfg.confidence,
-        "pt_enforce_monotone": pt_cfg.enforce_monotone,
-        "central_tendency": comparison.central_tendency,
-        "total_performing": comparison.total_performing,
-        "total_defaults": comparison.total_defaults,
+        "pt_confidence": args.pt_confidence,
+        "pt_enforce_monotone": True,
+        "central_tendency": ct,
+        "total_performing": snapshot.total_performing,
+        "total_defaults": snapshot.total_defaults,
         "methods": ",".join(methods),
     })
     write_outputs(args.out, {"comparison.csv": csv_text(header, rows)}, manifest)
 
     if args.pretty:
-        pretty = [[order, label, *(_pct(comparison.columns[m][i]) for m in methods)]
-                  for i, (order, label) in enumerate(zip(comparison.grade_orders, comparison.labels))]
+        pretty = [[g.order, g.label, *(_pct(columns[m][i]) for m in methods)]
+                  for i, g in enumerate(snapshot.grades)]
         _print_pretty(f"Scaled PD comparison, period {snapshot.period} "
-                      f"(central tendency {_pct(comparison.central_tendency)})",
+                      f"(central tendency {_pct(ct)})",
                       ("order", "label", *methods), pretty)
     return EXIT_OK
 
@@ -207,25 +202,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = fit_regression(history)
     # (period, regressor vector) of each new row; zero rows is fine
     newdata_header = ("period", *(f"y{i}" for i in range(1, len(model.coefficients) + 1)))
-    newdata = read_rows(newdata_path, newdata_header,
-                        lambda cells: (cells[0], tuple(float(c) for c in cells[1:])))
+    newdata = read_rows(newdata_path, newdata_header, lambda cells: (
+        bare_cell(cells[0], "period"), tuple(finite(c) for c in cells[1:])))
 
     model_doc = {
         "manifest": MANIFEST,
         "intercept": model.intercept,
-        "link": model.link,
+        "link": LINK,
         "precision": model.precision,
     }
     for i, coefficient in enumerate(model.coefficients, start=1):
         model_doc[f"coefficient_{i}"] = coefficient
-    rows = [[period, _fmt(predict_mean(model, y_vec)[0])] for period, y_vec in newdata]
+    rows = [[period, _fmt(predict_mean(model, y_vec))] for period, y_vec in newdata]
 
     manifest = envelope("predict", started, history=history_path, newdata=newdata_path)
     manifest.update({
         "n_observations": len(history),
         "n_regressors": len(model.coefficients),
         "n_predictions": len(rows),
-        "link": model.link,
+        "link": LINK,
     })
     write_outputs(args.out, {"model.json": json_text(model_doc),
                              "predictions.csv": csv_text(("period", "mu"), rows)}, manifest)

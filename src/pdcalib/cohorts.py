@@ -6,23 +6,23 @@ first, blank and ``#`` lines ignored, errors named by line)::
     period,grade_order,grade_label,performing_start,defaults_end
 
 One row per (period, grade).  ``grade_order`` is 1 for the best credit
-quality.  A row whose label equals the designated default-bucket label is
-validated and then dropped: the default bucket is an absorbing state, not
-a calibratable grade.  ``CohortError`` lives in ``csvio`` and is
-re-exported here.
+quality.  A grade label is written bare into result files, so it must be
+non-empty and need no CSV quoting.  A row labelled ``C/D``, the default
+bucket, is validated and then dropped: the default bucket is an absorbing
+state, not a calibratable grade.  ``CohortError`` lives in ``csvio`` and
+is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csvio import CohortError, read_rows
+from .csvio import CohortError, bare_cell, read_rows
 
 __all__ = [
     "CohortError",
     "GradeCount",
     "CohortSnapshot",
-    "GradeRate",
     "parse_cohort_csv",
     "observed_default_rates",
 ]
@@ -42,9 +42,7 @@ class GradeCount:
     defaults_end: int
 
     def __post_init__(self) -> None:
-        # labels are written as bare CSV cells, so they must need no quoting
-        if not self.label or any(c in self.label for c in ',"\n\r'):
-            raise ValueError(f"invalid grade label {self.label!r}")
+        bare_cell(self.label, "grade label")
         if self.performing_start < 0 or self.defaults_end < 0:
             raise ValueError(f"grade {self.label}: counts must be nonnegative")
         if self.defaults_end > self.performing_start:
@@ -81,23 +79,14 @@ class CohortSnapshot:
         return sum(g.defaults_end for g in self.grades)
 
 
-@dataclass(frozen=True)
-class GradeRate:
-    """Observed default rate for one grade; ``has_sample`` is False for empty cohorts."""
-
-    label: str
-    rate: float
-    has_sample: bool = True
-
-
-def parse_cohort_csv(source,
-                     default_bucket_label: str = DEFAULT_BUCKET_LABEL) -> list[CohortSnapshot]:
+def parse_cohort_csv(source) -> list[CohortSnapshot]:
     """Parse cohort counts into one snapshot per period (sorted by period label).
 
-    Rows whose label equals ``default_bucket_label`` are validated then
-    excluded.  Raises CohortError with the offending line number on
-    malformed rows, duplicate (period, grade) pairs or grade orders, and
-    counts that are negative or have defaults exceeding performing.
+    Rows labelled ``DEFAULT_BUCKET_LABEL`` are validated then excluded.
+    Raises CohortError with the offending line number on malformed rows,
+    labels that need CSV quoting, duplicate (period, grade) pairs or grade
+    orders, and counts that are negative or have defaults exceeding
+    performing.
     """
     per_period: dict[str, dict[int, GradeCount]] = {}
     seen: set[tuple[str, str]] = set()
@@ -108,7 +97,7 @@ def parse_cohort_csv(source,
         if (period, label) in seen:
             raise ValueError(f"duplicate (period, grade) pair ({period}, {label})")
         seen.add((period, label))
-        if label == default_bucket_label:
+        if label == DEFAULT_BUCKET_LABEL:
             return  # absorbing state: accepted, never calibrated
         bucket = per_period.setdefault(period, {})
         if grade.order in bucket:
@@ -116,21 +105,14 @@ def parse_cohort_csv(source,
         bucket[grade.order] = grade
 
     read_rows(source, COHORT_HEADER, convert)
-    snapshots = []
-    for period in sorted(per_period):
-        grades = tuple(per_period[period][o] for o in sorted(per_period[period]))
-        snapshots.append(CohortSnapshot(period, grades))
+    snapshots = [CohortSnapshot(period, tuple(bucket[o] for o in sorted(bucket)))
+                 for period, bucket in sorted(per_period.items())]
     if not snapshots:
         raise CohortError("no cohort rows found")
     return snapshots
 
 
-def observed_default_rates(snapshot: CohortSnapshot) -> list[GradeRate]:
-    """Per-grade observed rate d/n; empty cohorts report 0 with has_sample=False."""
-    out = []
-    for g in snapshot.grades:
-        if g.performing_start == 0:
-            out.append(GradeRate(g.label, 0.0, has_sample=False))
-        else:
-            out.append(GradeRate(g.label, g.defaults_end / g.performing_start))
-    return out
+def observed_default_rates(snapshot: CohortSnapshot) -> list[float]:
+    """Per-grade observed rate d/n; 0.0 for an empty cohort."""
+    return [g.defaults_end / g.performing_start if g.performing_start else 0.0
+            for g in snapshot.grades]

@@ -3,8 +3,10 @@
 Inputs: UTF-8, a header row before any data, blank and ``#`` lines
 skipped, cells stripped, every data row as wide as the header.  A format
 is a header plus a row converter on ``read_rows``, and any error names the
-file's physical line.  Results: ``write_outputs`` stages a command's files
-and moves them into place only when all are written, manifest last.
+file's physical line.  Converters read numbers with ``finite`` and names
+that reach a result file with ``bare_cell``.  Results: ``write_outputs``
+stages a command's files and moves them into place only when all are
+written, manifest last.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -22,7 +25,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["CohortError", "read_rows", "csv_text", "json_text", "write_outputs", "envelope"]
+__all__ = ["CohortError", "read_rows", "finite", "bare_cell", "csv_text", "json_text",
+           "write_outputs", "envelope"]
 
 MANIFEST = "manifest.json"
 
@@ -78,6 +82,23 @@ def read_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]],
     if expected is None:
         raise CohortError("missing header", source=name)
     return out
+
+
+def finite(cell: str) -> float:
+    """The number in ``cell``; ValueError for text, ``nan`` and infinities."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {cell!r}")
+    return value
+
+
+def bare_cell(text: str, what: str) -> str:
+    """``text`` unchanged if a result CSV can carry it as an unquoted cell:
+    non-empty and free of ``,"`` and line breaks.  ValueError naming
+    ``what`` otherwise."""
+    if not text or any(c in text for c in ',"\n\r'):
+        raise ValueError(f"invalid {what} {text!r}")
+    return text
 
 
 def csv_text(header: Sequence[str], rows) -> str:

@@ -1,10 +1,10 @@
 """Per-grade beta posteriors for the default-rate parameter.
 
-With a Beta(a0, b0) prior and an observed cohort of n performing entities
-of which d defaulted, the conjugate update gives Beta(a0 + d, b0 + n - d).
-The default prior is the flat Beta(1, 1); grades without data keep the
-prior unchanged.  Grades are treated as independent, so the portfolio
-posterior is just the ordered collection of per-grade distributions.
+With the flat Beta(1, 1) prior and an observed cohort of n performing
+entities of which d defaulted, the conjugate update gives
+Beta(1 + d, 1 + n - d); a grade without data keeps the prior.  Grades are
+treated as independent, so the portfolio posterior is just the ordered
+collection of per-grade distributions.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .cohorts import CohortSnapshot
 from .statdist import BetaParams
 
-__all__ = ["GradePosterior", "PortfolioPosterior", "compute_posterior", "FLAT_PRIOR"]
-
-FLAT_PRIOR = BetaParams(1.0, 1.0)
+__all__ = ["GradePosterior", "PortfolioPosterior", "compute_posterior"]
 
 
 @dataclass(frozen=True)
@@ -40,17 +38,13 @@ class PortfolioPosterior:
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.grades)
 
-    def means(self) -> list[float]:
-        return [g.params.alpha / (g.params.alpha + g.params.beta) for g in self.grades]
 
-
-def compute_posterior(snapshot: CohortSnapshot, prior: BetaParams = FLAT_PRIOR) -> PortfolioPosterior:
-    """Posterior Beta(a0 + d, b0 + n - d) for every grade in the snapshot."""
+def compute_posterior(snapshot: CohortSnapshot) -> PortfolioPosterior:
+    """Posterior Beta(1 + d, 1 + n - d) for every grade in the snapshot."""
     grades = tuple(
         GradePosterior(
             label=g.label,
-            params=BetaParams(prior.alpha + g.defaults_end,
-                              prior.beta + g.performing_start - g.defaults_end),
+            params=BetaParams(1.0 + g.defaults_end, 1.0 + g.performing_start - g.defaults_end),
             performing_start=g.performing_start,
             defaults_end=g.defaults_end,
         )

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pdcalib.benchmarks import PTConfig, central_tendency, pluto_tasche, scale_to_ct
+from pdcalib.benchmarks import central_tendency, pluto_tasche, scale_to_ct
 from pdcalib.calibrator import (CalibrationConfig, calibrate, export_histograms,
                                 fit_beta_moments, oracle_conditional_means_2grade, run_sweep)
 from pdcalib.cli import main
@@ -49,9 +49,9 @@ def test_01_table_reproduction_2016(calib_2016_full):
     detail = " ".join(f"g{i + 1}:{100 * d:+.3f}pp" for i, d in enumerate(diffs))
     report("01 calibrated-means-2016 (n_sim=100k, k_reps=300)", ok, detail)
     # reported interval sits inside each grade's histogram span by construction
-    for hist, lo, hi in zip(export_histograms(calib_2016_full),
-                            calib_2016_full.ci_lower, calib_2016_full.ci_upper):
-        assert hist.bin_edges[0] <= lo <= hi <= hist.bin_edges[-1]
+    for (edges, _), lo, hi in zip(export_histograms(calib_2016_full),
+                                  calib_2016_full.ci_lower, calib_2016_full.ci_upper):
+        assert edges[0] <= lo <= hi <= edges[-1]
 
 
 def test_02_stability_in_simulation_count(snapshot_2017):
@@ -86,7 +86,7 @@ def test_04_scaling_of_published_means(snapshot_2016):
 
 
 def test_05_most_prudent_benchmark(snapshot_2016):
-    scaled = scale_to_ct(pluto_tasche(snapshot_2016, PTConfig(confidence=0.75)), snapshot_2016)
+    scaled = scale_to_ct(pluto_tasche(snapshot_2016, 0.75), snapshot_2016)
     head_ok = all(abs(scaled[i] - PT_SCALED_2016_HEAD[i]) <= 0.0015 for i in range(4))
     tail_ok = all(abs(scaled[6 + i] - PT_SCALED_2016_TAIL[i]) <= 0.0030 for i in range(2))
     report("05 pluto-tasche-2016-scaled", head_ok and tail_ok,
@@ -177,7 +177,7 @@ def test_10_undefined_methods_are_passthrough_only(snapshot_2016):
     ok = not any(key in name for name in exposed for key in ("qmm", "cap_", "vdb"))
     table = build_comparison(snapshot_2016, list(MEANS_2016), pluto_tasche(snapshot_2016),
                              external={"cap": list(CAP_2016), "qmm": list(QMM_2016)})
-    ok = ok and set(table.columns) == {"simulated", "pluto_tasche", "cap", "qmm"}
+    ok = ok and set(table) == {"simulated", "pluto_tasche", "cap", "qmm"}
     from pdcalib.cli import CALIBRATION_HEADER
     ok = ok and "default_rate" not in CALIBRATION_HEADER  # observed_rate comes from counts
     report("10 cap-qmm-passthrough-only", ok, "external columns scale and display")

@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from pdcalib import benchmarks
-from pdcalib.benchmarks import (PTConfig, align_external, build_comparison, central_tendency,
+from pdcalib.benchmarks import (align_external, build_comparison, central_tendency,
                                 parse_external_csv, pluto_tasche, scale_to_ct)
 from pdcalib.cohorts import CohortSnapshot, GradeCount
 
 
 def snap(rows, period="t"):
     return CohortSnapshot(period, tuple(GradeCount(o, lbl, n, d) for o, lbl, n, d in rows))
+
+
+def raw_bound(snapshot, i, confidence=0.75):
+    """Grade i's own most-prudent bound, before the monotone floor: the first
+    entry of the snapshot cut down to grades i and worse."""
+    return pluto_tasche(CohortSnapshot(snapshot.period, snapshot.grades[i:]), confidence)[0]
 
 
 class TestCentralTendency:
@@ -61,24 +67,20 @@ class TestPlutoTasche:
                 rows.append((order, f"g{order}", n, d))
             snapshot = snap(rows)
             conf = float(rng.uniform(0.5, 0.99))
-            pds = pluto_tasche(snapshot, PTConfig(confidence=conf, enforce_monotone=False))
             for i in range(4):
                 pooled_n = sum(r[2] for r in rows[i:])
                 pooled_d = sum(r[3] for r in rows[i:])
-                assert pds[i] >= pooled_d / pooled_n - 1e-9
+                assert raw_bound(snapshot, i, conf) >= pooled_d / pooled_n - 1e-9
 
     def test_monotone_flooring(self, snapshot_2016):
-        floored = pluto_tasche(snapshot_2016, PTConfig(enforce_monotone=True))
+        floored = pluto_tasche(snapshot_2016)
         assert all(a <= b + 1e-15 for a, b in zip(floored, floored[1:]))
-        raw = pluto_tasche(snapshot_2016, PTConfig(enforce_monotone=False))
         # the worst grade's own bound sits below grade 7's: flooring equalizes them
-        assert raw[7] < raw[6]
+        assert raw_bound(snapshot_2016, 7) < raw_bound(snapshot_2016, 6)
         assert floored[7] == floored[6]
 
     def test_all_defaults_bound_is_one(self):
-        pds = pluto_tasche(snap([(1, "A", 10, 1), (2, "B", 5, 5)]),
-                           PTConfig(enforce_monotone=False))
-        assert pds[1] == 1.0
+        assert raw_bound(snap([(1, "A", 10, 1), (2, "B", 5, 5)]), 1) == 1.0
 
     def test_matches_scipy_beta_quantile(self):
         stats = pytest.importorskip("scipy.stats")
@@ -86,10 +88,15 @@ class TestPlutoTasche:
         n = rng.integers(100_000, 1_000_001, 20)
         d = (n * rng.uniform(0.0005, 0.05, 20)).astype(np.int64)
         rows = [(i + 1, f"g{i + 1}", int(a), int(b)) for i, (a, b) in enumerate(zip(n, d))]
-        pds = pluto_tasche(snap(rows), PTConfig(enforce_monotone=False))
+        pds = pluto_tasche(snap(rows))
         pooled_n, pooled_d = np.cumsum(n[::-1])[::-1], np.cumsum(d[::-1])[::-1]
         want = stats.beta.ppf(0.75, pooled_d + 1, pooled_n - pooled_d)
-        np.testing.assert_allclose(pds, want, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(pds, np.maximum.accumulate(want), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, float("nan")])
+    def test_confidence_outside_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match=r"confidence must lie in \(0, 1\)"):
+            pluto_tasche(snap([(1, "A", 100, 1), (2, "B", 100, 2)]), confidence)
 
     @pytest.mark.parametrize("n", [10, 1_000, 54_321, 100_000, 999_983, 1_000_000])
     def test_zero_default_closed_form_large_cohorts(self, n):
@@ -149,24 +156,22 @@ class TestBuildComparison:
     def test_two_method_table(self, snapshot_2016):
         sim = [0.0005, 0.0009, 0.0013, 0.0022, 0.03, 0.0348, 0.1077, 0.1564]
         table = build_comparison(snapshot_2016, sim, pluto_tasche(snapshot_2016))
-        assert list(table.columns) == ["simulated", "pluto_tasche"]
-        assert table.central_tendency == 124 / 5968
-        assert table.total_performing == 5968 and table.total_defaults == 124
+        assert list(table) == ["simulated", "pluto_tasche"]
 
     def test_external_passthrough_identical(self, snapshot_2016):
         sim = [0.0005, 0.0009, 0.0013, 0.0022, 0.03, 0.0348, 0.1077, 0.1564]
         table = build_comparison(snapshot_2016, sim, pluto_tasche(snapshot_2016),
                                  external={"copy": list(sim)})
-        assert table.columns["copy"] == table.columns["simulated"]
+        assert table["copy"] == table["simulated"]
 
     def test_every_column_scaled_to_ct(self, snapshot_2016):
         sim = [0.001, 0.002, 0.003, 0.004, 0.03, 0.035, 0.1, 0.2]
         table = build_comparison(snapshot_2016, sim, pluto_tasche(snapshot_2016),
                                  external={"x": [0.01] * 8})
         weights = [g.performing_start for g in snapshot_2016.grades]
-        for name, column in table.columns.items():
+        for name, column in table.items():
             weighted = sum(w * v for w, v in zip(weights, column)) / sum(weights)
-            assert weighted == pytest.approx(table.central_tendency, abs=1e-12), name
+            assert weighted == pytest.approx(central_tendency(snapshot_2016), abs=1e-12), name
 
     def test_column_mismatch_by_name(self, snapshot_2016):
         sim = [0.01] * 8
@@ -195,6 +200,10 @@ class TestExternalCsv:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="expected header"):
             parse_external_csv(io.StringIO("a,b,c\n1,m,0.1\n"))
+
+    def test_pd_bounds_accepted(self):
+        methods = parse_external_csv(io.StringIO("grade_order,method_name,pd\n1,m,0\n2,m,1\n"))
+        assert methods == {"m": {1: 0.0, 2: 1.0}}
 
     def test_duplicate_order(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -10,31 +10,24 @@ from pdcalib.betareg import (RegressionModel, fit, inv_logit, logit, parse_histo
 
 class TestPredict:
     def test_zero_intercept_no_regressors(self):
-        mu, params = predict_mean(RegressionModel(0.0, ()), [])
+        mu = predict_mean(RegressionModel(0.0, ()), [])
         assert mu == pytest.approx(0.5, abs=1e-15)
-        assert params.alpha == params.beta
 
     def test_negative_intercept(self):
-        mu, _ = predict_mean(RegressionModel(-3.0, ()), [])
+        mu = predict_mean(RegressionModel(-3.0, ()), [])
         assert mu == pytest.approx(1.0 / (1.0 + math.exp(3.0)), rel=1e-12)
 
     def test_linear_predictor_combines(self):
-        mu, _ = predict_mean(RegressionModel(-4.0, (0.5,)), [2.0])
+        mu = predict_mean(RegressionModel(-4.0, (0.5,)), [2.0])
         assert mu == pytest.approx(1.0 / (1.0 + math.exp(3.0)), rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="expects 1"):
             predict_mean(RegressionModel(0.0, (1.0,)), [1.0, 2.0])
 
-    def test_implied_params_recover_mean(self):
-        for phi in (0.5, 7.0, 2e4):
-            model = RegressionModel(-2.2, (0.3,), precision=phi)
-            mu, params = predict_mean(model, [1.7])
-            assert params.alpha / (params.alpha + params.beta) == pytest.approx(mu, abs=1e-12)
-
     def test_monotone_in_positive_coefficient(self):
         model = RegressionModel(-1.0, (0.8,))
-        values = [predict_mean(model, [y])[0] for y in np.linspace(-5, 5, 41)]
+        values = [predict_mean(model, [y]) for y in np.linspace(-5, 5, 41)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -65,10 +58,10 @@ class TestFit:
         history = []
         for _ in range(25):
             y = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            history.append((y, predict_mean(true, y)[0]))
+            history.append((y, predict_mean(true, y)))
         model = fit(history)
         for y, mu in history:
-            assert predict_mean(model, y)[0] == pytest.approx(mu, abs=1e-8)
+            assert predict_mean(model, y) == pytest.approx(mu, abs=1e-8)
 
     def test_noisy_fit_precision_is_moderate(self):
         rng = np.random.default_rng(16)

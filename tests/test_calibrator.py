@@ -270,8 +270,8 @@ class TestCalibrate:
         small = calibrate(post, CalibrationConfig(n_sim=1000, k_reps=300, seed=21))
         large = calibrate(post, CalibrationConfig(n_sim=1000, k_reps=1200, seed=21))
         for j in range(2):
-            se_small = small.sweep_means[:, j].std(ddof=1) / math.sqrt(small.k_reps)
-            se_large = large.sweep_means[:, j].std(ddof=1) / math.sqrt(large.k_reps)
+            se_small = small.sweep_means[:, j].std(ddof=1) / math.sqrt(300)
+            se_large = large.sweep_means[:, j].std(ddof=1) / math.sqrt(1200)
             assert se_small / se_large == pytest.approx(2.0, rel=0.25)
 
 
@@ -280,7 +280,7 @@ class TestHistograms:
         matrix = np.asarray(matrix, dtype=float)
         m = matrix.shape[1]
         return CalibrationResult(
-            labels=tuple(labels), n_sim=1000, k_reps=matrix.shape[0], ci_level=0.9,
+            labels=tuple(labels),
             grade_means=tuple(matrix.mean(axis=0)), grade_medians=tuple(np.median(matrix, axis=0)),
             ci_lower=tuple(matrix.min(axis=0)), ci_upper=tuple(matrix.max(axis=0)),
             alpha_hat=(1.0,) * m, beta_hat=(1.0,) * m, sweep_means=matrix,
@@ -289,20 +289,20 @@ class TestHistograms:
     def test_degenerate_single_bin(self):
         res = self._result(np.full((300, 1), 0.05), ["g1"])
         (hist,) = export_histograms(res)
-        assert hist.counts == (300,)
-        assert hist.bin_edges == (0.05, 0.05)
+        assert hist == ((0.05, 0.05), (300,))
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(8)
         res = self._result(rng.uniform(0.01, 0.09, size=(300, 2)), ["g1", "g2"])
-        for hist in export_histograms(res):
-            assert sum(hist.counts) == 300
-            assert len(hist.bin_edges) == len(hist.counts) + 1
+        for edges, counts in export_histograms(res):
+            assert sum(counts) == 300
+            assert len(counts) == calibrator._HIST_BINS
+            assert len(edges) == len(counts) + 1
 
     def test_span_covers_all_values(self):
         rng = np.random.default_rng(9)
         matrix = rng.normal(0.1, 0.005, size=(200, 1)).clip(0.01, 0.99)
         res = self._result(matrix, ["g1"])
-        (hist,) = export_histograms(res)
-        assert hist.bin_edges[0] == pytest.approx(matrix.min())
-        assert hist.bin_edges[-1] == pytest.approx(matrix.max())
+        ((edges, _),) = export_histograms(res)
+        assert edges[0] == pytest.approx(matrix.min())
+        assert edges[-1] == pytest.approx(matrix.max())

@@ -295,3 +295,131 @@ class TestPredictCommand:
                    "--out", str(tmp_path / "pred")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+ENVELOPE_KEYS = {"command", "tool_version", "numpy_version", "duration_seconds"}
+
+
+def input_keys(*names):
+    return {f"{name}_{part}" for name in names for part in ("path", "digest")}
+
+
+class TestOutputKeys:
+    """Exact key sets of every command's manifest.json and model.json."""
+
+    CALIBRATE_KEYS = ENVELOPE_KEYS | input_keys("input") | {
+        "period", "n_grades", "n_sim", "k_reps", "seed", "ci_level", "min_accepted",
+        "max_resample_rounds", "max_passes", "threads", "emit_histograms", "passes_min",
+        "passes_max", "passes_histogram", "warnings", "acceptance_rate_pair_1",
+        "acceptance_rate_pair_2", "mc_se_grade_1", "mc_se_grade_2", "mc_se_grade_3"}
+    COMPARE_KEYS = ENVELOPE_KEYS | input_keys("input", "calibration", "external") | {
+        "period", "pt_confidence", "pt_enforce_monotone", "central_tendency",
+        "total_performing", "total_defaults", "methods"}
+
+    @pytest.mark.parametrize("histograms", [False, True])
+    def test_calibrate(self, tame_csv, tmp_path, histograms):
+        out = tmp_path / "out"
+        args = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
+                "--k-reps", "2", "--threads", "1", "--out", str(out)]
+        assert main(args + ["--emit-histograms"] * histograms) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == self.CALIBRATE_KEYS
+        hists = {"hist_1.csv", "hist_2.csv", "hist_3.csv"} if histograms else set()
+        assert {p.name for p in out.iterdir()} == {"calibration.csv", "manifest.json"} | hists
+
+    @pytest.mark.parametrize("external", [False, True])
+    def test_compare(self, tame_csv, tmp_path, external):
+        assert run_calibrate(tame_csv, tmp_path / "calib") == 0
+        args = ["compare", "--input", str(tame_csv), "--period", "T1",
+                "--calibration", str(tmp_path / "calib" / "calibration.csv"),
+                "--out", str(tmp_path / "cmp")]
+        if external:
+            path = tmp_path / "ext.csv"
+            path.write_text("grade_order,method_name,pd\n1,q,0.004\n2,q,0.009\n3,q,0.08\n",
+                            encoding="utf-8")
+            args += ["--external", str(path)]
+        assert main(args) == 0
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        assert set(manifest) == self.COMPARE_KEYS
+        assert manifest["pt_enforce_monotone"] is True
+        assert manifest["methods"] == "simulated,pluto_tasche" + ",q" * external
+
+    def test_predict(self, tmp_path):
+        history = tmp_path / "history.csv"
+        history.write_text("period,mu,y1,y2\na,0.2,0,1\nb,0.3,1,0\nc,0.4,2,2\nd,0.1,0,0\n",
+                           encoding="utf-8")
+        newdata = tmp_path / "new.csv"
+        newdata.write_text("period,y1,y2\nf,0.5,0.5\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        assert main(["predict", "--history", str(history), "--newdata", str(newdata),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == ENVELOPE_KEYS | input_keys("history", "newdata") | {
+            "n_observations", "n_regressors", "n_predictions", "link"}
+        model = json.loads((out / "model.json").read_text())
+        assert set(model) == {"manifest", "intercept", "link", "precision",
+                              "coefficient_1", "coefficient_2"}
+        assert manifest["link"] == model["link"] == "logit"
+
+
+def run_with_bad_input(tame_csv, tmp_path, kind, row):
+    """Exit code of the command reading ``row`` as the data row on line 3 of
+    its ``kind`` input (cohort, external, history, newdata or calibration)."""
+    bad = tmp_path / f"{kind}.csv"
+    if kind == "cohort":
+        bad.write_text(f"{TAME_CSV.splitlines()[0]}\nT1,1,A,800,8\n{row}\n", encoding="utf-8")
+        return run_calibrate(bad, tmp_path / "out")
+    if kind in ("history", "newdata"):
+        history = tmp_path / "history.csv"
+        history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
+        newdata = tmp_path / "new.csv"
+        newdata.write_text("period,y1\nf,0.5\n", encoding="utf-8")
+        header = "period,mu,y1" if kind == "history" else "period,y1"
+        first = "a,0.2,0" if kind == "history" else "f,0.5"
+        bad.write_text(f"{header}\n{first}\n{row}\n", encoding="utf-8")
+        paths = {"history": history, "newdata": newdata, kind: bad}
+        return main(["predict", "--history", str(paths["history"]),
+                     "--newdata", str(paths["newdata"]), "--out", str(tmp_path / "out")])
+    assert run_calibrate(tame_csv, tmp_path / "calib") == 0
+    calibration = tmp_path / "calib" / "calibration.csv"
+    args = ["compare", "--input", str(tame_csv), "--period", "T1", "--out", str(tmp_path / "out")]
+    if kind == "external":
+        bad.write_text(f"grade_order,method_name,pd\n1,q,0.004\n{row}\n", encoding="utf-8")
+        return main(args + ["--calibration", str(calibration), "--external", str(bad)])
+    lines = calibration.read_text(encoding="utf-8").splitlines()
+    # line 3 is grade A's row; its mean is the eighth cell
+    cells = lines[2].split(",")
+    cells[7] = row
+    lines[2] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return main(args + ["--calibration", str(bad)])
+
+
+class TestBadInputCells:
+    @pytest.mark.parametrize("kind,row,message", [
+        ("cohort", 'T1,2,"B,x",900,7', "invalid grade label 'B,x'"),
+        ("external", '2,"m,x",0.01', "invalid method name 'm,x'"),
+        ("newdata", '"x,y",0.3', "invalid period 'x,y'"),
+    ], ids=["cohort-label", "external-method", "newdata-period"])
+    def test_name_needing_csv_quotes_exits_2(self, tame_csv, tmp_path, capsys, kind, row, message):
+        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+        err = capsys.readouterr().err
+        assert f"{kind}.csv: line 3: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind,row,message", [
+        ("external", "2,q,nan", "non-finite number 'nan'"),
+        ("external", "2,q,inf", "non-finite number 'inf'"),
+        ("external", "2,q,-0.01", "pd must lie in [0, 1], got -0.01"),
+        ("history", "b,0.3,nan", "non-finite number 'nan'"),
+        ("history", "b,inf,1", "non-finite number 'inf'"),
+        ("newdata", "g,nan", "non-finite number 'nan'"),
+        ("newdata", "g,-inf", "non-finite number '-inf'"),
+        ("calibration", "nan", "non-finite number 'nan'"),
+    ])
+    def test_bad_number_exits_2(self, tame_csv, tmp_path, capfd, kind, row, message):
+        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+        err = capfd.readouterr().err  # LAPACK writes to the process stderr
+        assert f"{kind}.csv: line 3: {message}" in err
+        assert "DLASCL" not in err and "converge" not in err
+        assert not (tmp_path / "out").exists()

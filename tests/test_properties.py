@@ -10,7 +10,7 @@ stats = pytest.importorskip("scipy.stats")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from pdcalib.benchmarks import (PTConfig, central_tendency, parse_external_csv,  # noqa: E402
+from pdcalib.benchmarks import (central_tendency, parse_external_csv,  # noqa: E402
                                 pluto_tasche, scale_to_ct)
 from pdcalib.betareg import parse_history_csv  # noqa: E402
 from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount,  # noqa: E402
@@ -31,19 +31,23 @@ def portfolios(draw):
 @settings(max_examples=60, deadline=None)
 @given(portfolios(), st.floats(0.5, 0.99, exclude_min=True))
 def test_pluto_tasche_on_random_portfolios(snapshot, confidence):
-    raw = pluto_tasche(snapshot, PTConfig(confidence=confidence, enforce_monotone=False))
-    floored = pluto_tasche(snapshot, PTConfig(confidence=confidence))
+    floored = pluto_tasche(snapshot, confidence)
     assert all(a <= b for a, b in zip(floored, floored[1:]))
-    assert floored == list(np.maximum.accumulate(raw))
     n = np.cumsum([g.performing_start for g in snapshot.grades[::-1]])[::-1]
     d = np.cumsum([g.defaults_end for g in snapshot.grades[::-1]])[::-1]
-    for bound, pooled_n, pooled_d in zip(raw, n, d):
+    wants = []
+    for i, (pooled_n, pooled_d) in enumerate(zip(n, d)):
+        # grade i's own bound, before the floor: first entry of the cut-down snapshot
+        bound = pluto_tasche(CohortSnapshot("t", snapshot.grades[i:]), confidence)[0]
         if pooled_n == 0 or pooled_d == pooled_n:
             assert bound == 1.0
+            wants.append(1.0)
             continue
         assert bound >= pooled_d / pooled_n
         want = stats.beta.ppf(confidence, pooled_d + 1, pooled_n - pooled_d)
         assert bound == pytest.approx(want, rel=1e-9)
+        wants.append(want)
+    assert floored == pytest.approx(list(np.maximum.accumulate(wants)), rel=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -91,7 +95,8 @@ def cohort_row(i):
 def bad_cohort_rows(i):
     key = f"T,{i + 1},g{i + 1}"
     return [f"{key},x,0", f"{key},10,1.5", f"{key},10", f"{key},10,1,7",   # not an integer, width
-            f"{key},5,6", f"{key},-3,0", f"{key},3,-1"]                     # d > n, negative
+            f"{key},5,6", f"{key},-3,0", f"{key},3,-1",                     # d > n, negative
+            f'T,{i + 1},"g,{i + 1}",5,1']                                  # label needs quoting
 
 
 def external_row(i):
@@ -99,7 +104,9 @@ def external_row(i):
 
 
 def bad_external_rows(i):
-    return [f"{i + 1},m,abc", "x,m,0.1", f"{i + 1},m", f"{i + 1},m,0.1,2"]
+    return [f"{i + 1},m,abc", "x,m,0.1", f"{i + 1},m", f"{i + 1},m,0.1,2",
+            f"{i + 1},m,nan", f"{i + 1},m,inf", f"{i + 1},m,-0.01", f"{i + 1},m,1.5",
+            f'{i + 1},"m,x",0.1']
 
 
 def history_row(i):
@@ -108,7 +115,8 @@ def history_row(i):
 
 
 def bad_history_rows(i):
-    return [f"p{i},zzz,1,2", f"p{i},0.5,1,y", f"p{i},0.5,1", f"p{i},0.5,1,2,3"]
+    return [f"p{i},zzz,1,2", f"p{i},0.5,1,y", f"p{i},0.5,1", f"p{i},0.5,1,2,3",
+            f"p{i},nan,1,2", f"p{i},0.5,inf,2", f"p{i},0.5,1,-inf", f"p{i},0.5,nan,2"]
 
 
 @pytest.mark.parametrize("parse,header,good,bad", [
