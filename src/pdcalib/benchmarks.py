@@ -33,6 +33,9 @@ __all__ = [
 
 EXTERNAL_HEADER = ("grade_order", "method_name", "pd")
 
+# the columns of comparison.csv that are not external methods
+RESERVED_METHOD_NAMES = frozenset(("grade_order", "label", "simulated", "pluto_tasche"))
+
 _THETA_LO = 1e-12
 _THETA_HI = 1.0 - 1e-12
 
@@ -121,13 +124,16 @@ def parse_external_csv(source) -> dict[str, dict[int, float]]:
 
     Returns method name -> {grade_order: pd}; alignment with a snapshot's
     grade orders happens at comparison time.  A method name becomes a
-    header cell of comparison.csv, so it must need no CSV quoting; a pd
-    must be a number in [0, 1].
+    header cell of comparison.csv, so it must need no CSV quoting and must
+    not be one of that file's own columns (``RESERVED_METHOD_NAMES``); a
+    pd must be a number in [0, 1].
     """
     methods: dict[str, dict[int, float]] = {}
 
     def convert(cells: list[str]) -> None:
         order, name, pd = int(cells[0]), bare_cell(cells[1], "method name"), finite(cells[2])
+        if name in RESERVED_METHOD_NAMES:
+            raise ValueError(f"method name {name!r} is reserved for a comparison.csv column")
         if not 0.0 <= pd <= 1.0:
             raise ValueError(f"pd must lie in [0, 1], got {cells[2]}")
         column = methods.setdefault(name, {})

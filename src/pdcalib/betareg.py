@@ -8,20 +8,24 @@ plain least squares on the link scale, the smallest estimator that is
 exact whenever the data sit on the link surface.  The link is always
 ``LINK``.  The dispersion is moment matched and only reported (in
 ``model.json``); it never shapes the predicted mean.
+
+``fit`` and ``predict_mean`` work on an n x k float array of regressor
+rows, as ``parse_history_csv`` and ``parse_newdata_csv`` return it; only
+the link functions run per value, on ``math``, so a fitted model and
+its predictions do not change with numpy's vectorised ``log``/``exp``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .csvio import CohortError, finite, read_rows
+from .csvio import CohortError, bare_cell, finite_row, read_rows
 
-__all__ = ["LINK", "RegressionModel", "fit", "predict_mean", "parse_history_csv", "logit",
-           "inv_logit"]
+__all__ = ["LINK", "RegressionModel", "fit", "predict_mean", "parse_history_csv",
+           "parse_newdata_csv", "logit", "inv_logit"]
 
 LINK = "logit"
 
@@ -58,50 +62,55 @@ class RegressionModel:
             raise ValueError(f"precision must be positive, got {self.precision}")
 
 
-def predict_mean(model: RegressionModel, y: Sequence[float]) -> float:
-    """Predicted mean inv_logit(intercept + sum(coef * y)) for one regressor vector.
+def predict_mean(model: RegressionModel, y) -> np.ndarray:
+    """Predicted means inv_logit(intercept + sum(coef * y)), one per row of ``y``.
 
-    The mean is clipped a hair inside (0, 1), so even a saturating
+    ``y`` is an n x k array of regressor rows.  The linear predictor is
+    summed column by column in coefficient order from 0.0, then the
+    intercept is added, and ``inv_logit`` runs on each value with
+    ``math.exp``, so a mean does not depend on how many rows come with it.
+    Each mean is clipped a hair inside (0, 1), so even a saturating
     predictor gives a mean that ``fit`` accepts back as history.
     """
-    if len(y) != len(model.coefficients):
-        raise ValueError(
-            f"regressor vector has {len(y)} entries, model expects {len(model.coefficients)}")
-    z = model.intercept + sum(c * float(v) for c, v in zip(model.coefficients, y))
-    return min(max(inv_logit(z), _MU_CLIP), 1.0 - _MU_CLIP)
+    y = _regressors(y)
+    if y.shape[1] != len(model.coefficients):
+        raise ValueError(f"regressor rows have {y.shape[1]} entries, "
+                         f"model expects {len(model.coefficients)}")
+    z = np.zeros(len(y))
+    for j, c in enumerate(model.coefficients):
+        z += c * y[:, j]
+    z += model.intercept
+    return np.clip([inv_logit(v) for v in z.tolist()], _MU_CLIP, 1.0 - _MU_CLIP)
 
 
-def fit(history: Sequence[tuple[Sequence[float], float]]) -> RegressionModel:
+def fit(y, mu) -> RegressionModel:
     """Least-squares fit of link(mu) on the regressors.
 
-    ``history`` holds (regressor vector, calibrated mean) pairs; all means
-    must lie strictly in (0, 1) and the design must have full column rank.
+    ``y`` is an n x k array of regressor rows and ``mu`` the n calibrated
+    means, all strictly in (0, 1); the design must have full column rank.
     Data generated exactly on the link surface is recovered exactly.  The
     dispersion is moment matched from the response-scale residual
     variance and capped when the fit is (numerically) exact.
     """
-    if not history:
+    y = _regressors(y)
+    mu = np.asarray(mu, dtype=np.float64)
+    n, k = y.shape
+    if mu.shape != (n,):
+        raise ValueError(f"{mu.size} means for {n} regressor rows")
+    if not n:
         raise ValueError("history is empty")
-    k = len(history[0][0])
-    rows = []
-    z = []
-    for y_vec, mu in history:
-        if len(y_vec) != k:
-            raise ValueError("inconsistent regressor vector lengths in history")
-        if not 0.0 < mu < 1.0:
-            raise ValueError(f"calibrated mean must lie in (0, 1), got {mu}")
-        rows.append([1.0, *(float(v) for v in y_vec)])
-        z.append(logit(mu))
-    if len(rows) < k + 1:
-        raise ValueError(f"need at least {k + 1} observations for {k} regressors, got {len(rows)}")
-    design = np.array(rows)
-    target = np.array(z)
+    outside = (mu <= 0.0) | (mu >= 1.0)
+    if outside.any():
+        raise ValueError(f"calibrated mean must lie in (0, 1), got {mu[outside][0]}")
+    if n < k + 1:
+        raise ValueError(f"need at least {k + 1} observations for {k} regressors, got {n}")
+    design = np.column_stack((np.ones(n), y))
+    target = np.array([logit(v) for v in mu.tolist()])
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
         raise ValueError("rank-deficient design: regressors are collinear or constant")
-    fitted_mu = np.array([inv_logit(v) for v in design @ coef])
-    observed_mu = np.array([mu for _, mu in history])
-    residual_var = float(np.mean((observed_mu - fitted_mu) ** 2))
+    fitted_mu = np.array([inv_logit(v) for v in (design @ coef).tolist()])
+    residual_var = float(np.mean((mu - fitted_mu) ** 2))
     mean_bernoulli_var = float(np.mean(fitted_mu * (1.0 - fitted_mu)))
     if residual_var < 1e-18 * max(mean_bernoulli_var, 1e-30):
         precision = _PRECISION_CAP
@@ -115,22 +124,46 @@ def fit(history: Sequence[tuple[Sequence[float], float]]) -> RegressionModel:
     )
 
 
-def parse_history_csv(source) -> tuple[list[str], list[tuple[tuple[float, ...], float]]]:
+def _regressors(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError(f"regressors must be an n x k array, got shape {y.shape}")
+    return y
+
+
+def _read_numbers(source, header, label) -> tuple[list[str], list[tuple[float, ...]]]:
+    """``label`` of each row's first cell, and the numbers in its other cells."""
+    labels: list[str] = []
+
+    def convert(cells: list[str]) -> tuple[float, ...]:
+        labels.append(label(cells[0]))
+        return finite_row(cells[1:])
+
+    return labels, read_rows(source, header, convert)
+
+
+def parse_history_csv(source) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read fitting history from `period,mu,y1,...,yk` rows.
 
-    Returns (period labels, [(regressor vector, mu), ...]).  ``k`` may be
+    Returns (period labels, n x k regressor array, n means).  ``k`` may be
     zero (an intercept-only model).  Every number must be finite.
     """
     def header(width: int) -> tuple[str, ...]:
         return ("period", "mu", *(f"y{i}" for i in range(1, width - 1)))
 
-    periods: list[str] = []
-
-    def convert(cells: list[str]) -> tuple[tuple[float, ...], float]:
-        periods.append(cells[0])
-        return tuple(finite(c) for c in cells[2:]), finite(cells[1])
-
-    history = read_rows(source, header, convert)
-    if not history:
+    periods, rows = _read_numbers(source, header, str)
+    if not rows:
         raise CohortError("history has no data rows")
-    return periods, history
+    table = np.array(rows)
+    return periods, table[:, 1:], table[:, 0]
+
+
+def parse_newdata_csv(source, k: int) -> tuple[list[str], np.ndarray]:
+    """Read regressor rows to predict from `period,y1,...,yk` rows.
+
+    Returns (period labels, n x k regressor array); zero rows is fine.  A
+    period is written into predictions.csv, so it must need no CSV quoting.
+    """
+    header = ("period", *(f"y{i}" for i in range(1, k + 1)))
+    periods, rows = _read_numbers(source, header, lambda cell: bare_cell(cell, "period"))
+    return periods, np.array(rows, dtype=np.float64).reshape(len(rows), k)

@@ -19,19 +19,20 @@ per grade from which the point estimate, median and confidence bounds are
 reported.  The repetitions run on threads of this one process (the beta
 sampler and numpy's array loops release the interpreter lock); results are
 bit-reproducible for a fixed (seed, config, data, numpy version) regardless
-of the thread count.
+of the thread count.  ``calibrate`` is the only caller of ``rng_stream``
+and the only user of a thread pool, so numpy's sampler and
+``concurrent.futures`` are imported when it runs, not with the module.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .posterior import PortfolioPosterior
-from .statdist import BetaParams, RngStream, sample_beta
+from .statdist import BetaParams, rng_stream, sample_beta
 
 __all__ = [
     "CalibrationConfig",
@@ -99,13 +100,20 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One converged sweep: fitted shapes and calibrated means, best grade first."""
+    """One converged sweep: fitted shapes and calibrated means, best grade first.
+
+    ``draws_total`` counts the beta variates drawn, both grades of every
+    pair step; ``topup_blocks_total`` the blocks of ``n_sim`` pairs drawn
+    beyond the first of each pair step.
+    """
 
     labels: tuple[str, ...]
     params: tuple[BetaParams, ...]
     means: tuple[float, ...]
     acceptance_rates: tuple[float, ...]  # per adjacent pair, pooled over passes
     passes: int
+    draws_total: int
+    topup_blocks_total: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +125,8 @@ class CalibrationResult:
     calibrated means (linear interpolation between order statistics).
     ``sweep_means`` keeps the full k_reps x n_grades matrix for histogram
     export.  ``alpha_hat``/``beta_hat`` are arithmetic means of the
-    per-repetition fitted shapes.
+    per-repetition fitted shapes; ``draws_total`` and ``topup_blocks_total``
+    are the sweeps' counts summed.
     """
 
     labels: tuple[str, ...]
@@ -130,6 +139,8 @@ class CalibrationResult:
     sweep_means: np.ndarray
     pair_acceptance: tuple[float, ...]
     passes: tuple[int, ...]
+    draws_total: int
+    topup_blocks_total: int
     warnings: tuple[str, ...]
 
 
@@ -155,7 +166,8 @@ def fit_beta_moments(sample_mean: float, sample_sd: float) -> BetaParams:
     return BetaParams(sample_mean * concentration, (1.0 - sample_mean) * concentration)
 
 
-def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig, rng: RngStream,
+def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
+                   rng: np.random.Generator,
                    pair_index: int) -> tuple[BetaParams, BetaParams, int, int]:
     """Both grades refitted from their index-aligned draws that are in order,
     with the accepted and drawn pair counts.
@@ -200,7 +212,8 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
     return lower, upper, accepted, drawn
 
 
-def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) -> SweepResult:
+def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig,
+              rng: np.random.Generator) -> SweepResult:
     """One full calibration sweep over adjacent grade pairs.
 
     Each pair step draws ``n_sim`` values of each grade from its current
@@ -229,12 +242,15 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig, rng: RngStream) 
     else:
         raise SweepNotConvergedError(
             f"calibrated means still out of order after {_MAX_PASSES} passes")
+    pairs_drawn = int(drawn_per_pair.sum())
     return SweepResult(
         labels=post.labels,
         params=tuple(params),
         means=tuple(means),
         acceptance_rates=tuple(accepted_per_pair / drawn_per_pair),
         passes=passes,
+        draws_total=2 * pairs_drawn,
+        topup_blocks_total=pairs_drawn // cfg.n_sim - passes * (m - 1),
     )
 
 
@@ -246,9 +262,11 @@ def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1
     ``workers`` threads with the same result for any count.  The first
     failing repetition in order is raised, and those not started are cancelled.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     def sweep(rep: int) -> SweepResult:
         try:
-            return run_sweep(post, cfg, RngStream(cfg.seed, rep))
+            return run_sweep(post, cfg, rng_stream(cfg.seed, rep))
         except (VarianceTooLargeError, InsufficientAcceptanceError, SweepNotConvergedError) as exc:
             raise type(exc)(f"repetition {rep}: {exc}") from None
 
@@ -274,6 +292,8 @@ def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1
         sweep_means=mean_matrix,
         pair_acceptance=tuple(float(v) for v in acceptance),
         passes=tuple(s.passes for s in sweeps),
+        draws_total=sum(s.draws_total for s in sweeps),
+        topup_blocks_total=sum(s.topup_blocks_total for s in sweeps),
         warnings=warnings,
     )
 

@@ -30,14 +30,13 @@ from pathlib import Path
 from . import __version__
 from .benchmarks import (align_external, build_comparison, central_tendency, parse_external_csv,
                          pluto_tasche)
-from .betareg import LINK, parse_history_csv, predict_mean
+from .betareg import LINK, parse_history_csv, parse_newdata_csv, predict_mean
 from .betareg import fit as fit_regression
 from .calibrator import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
                          InsufficientAcceptanceError, SweepNotConvergedError,
                          VarianceTooLargeError, calibrate, export_histograms)
 from .cohorts import CohortError, CohortSnapshot, observed_default_rates, parse_cohort_csv
-from .csvio import (MANIFEST, bare_cell, csv_text, envelope, finite, json_text, read_rows,
-                    write_outputs)
+from .csvio import MANIFEST, csv_text, envelope, finite, json_text, read_rows, write_outputs
 from .posterior import compute_posterior
 from .statdist import BracketError, ConvergenceError
 
@@ -123,6 +122,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "passes_min": min(result.passes),
         "passes_max": max(result.passes),
         "passes_histogram": {str(p): n for p, n in Counter(result.passes).items()},
+        "draws_total": result.draws_total,
+        "topup_blocks_total": result.topup_blocks_total,
         "warnings": "; ".join(result.warnings),
     })
     for i, rate in enumerate(result.pair_acceptance, start=1):
@@ -198,12 +199,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     history_path = _require_file(args.history)
     newdata_path = _require_file(args.newdata)
-    _, history = parse_history_csv(history_path)
-    model = fit_regression(history)
-    # (period, regressor vector) of each new row; zero rows is fine
-    newdata_header = ("period", *(f"y{i}" for i in range(1, len(model.coefficients) + 1)))
-    newdata = read_rows(newdata_path, newdata_header, lambda cells: (
-        bare_cell(cells[0], "period"), tuple(finite(c) for c in cells[1:])))
+    _, y_history, mu_history = parse_history_csv(history_path)
+    model = fit_regression(y_history, mu_history)
+    periods, y_new = parse_newdata_csv(newdata_path, len(model.coefficients))
 
     model_doc = {
         "manifest": MANIFEST,
@@ -213,11 +211,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     }
     for i, coefficient in enumerate(model.coefficients, start=1):
         model_doc[f"coefficient_{i}"] = coefficient
-    rows = [[period, _fmt(predict_mean(model, y_vec))] for period, y_vec in newdata]
+    rows = [[period, _fmt(mu)] for period, mu in zip(periods, predict_mean(model, y_new))]
 
     manifest = envelope("predict", started, history=history_path, newdata=newdata_path)
     manifest.update({
-        "n_observations": len(history),
+        "n_observations": len(mu_history),
         "n_regressors": len(model.coefficients),
         "n_predictions": len(rows),
         "link": LINK,

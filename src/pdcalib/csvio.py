@@ -3,8 +3,9 @@
 Inputs: UTF-8, a header row before any data, blank and ``#`` lines
 skipped, cells stripped, every data row as wide as the header.  A format
 is a header plus a row converter on ``read_rows``, and any error names the
-file's physical line.  Converters read numbers with ``finite`` and names
-that reach a result file with ``bare_cell``.  Results: ``write_outputs``
+file's physical line.  Converters read numbers with ``finite`` (one
+cell) or ``finite_row`` (all numbers of a row in one step) and names that
+reach a result file with ``bare_cell``.  Results: ``write_outputs``
 stages a command's files and moves them into place only when all are
 written, manifest last.
 """
@@ -25,10 +26,13 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["CohortError", "read_rows", "finite", "bare_cell", "csv_text", "json_text",
-           "write_outputs", "envelope"]
+__all__ = ["CohortError", "read_rows", "finite", "finite_row", "bare_cell", "csv_text",
+           "json_text", "write_outputs", "envelope"]
 
 MANIFEST = "manifest.json"
+
+# characters a bare (unquoted) result CSV cell must not hold
+_NEEDS_QUOTES = frozenset(',"\n\r')
 
 T = TypeVar("T")
 
@@ -63,7 +67,7 @@ def read_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]],
     with opened as handle:
         reader = csv.reader(handle)
         for row in reader:
-            cells = [cell.strip() for cell in row]
+            cells = list(map(str.strip, row))
             if not cells or cells[0].startswith("#") or cells == [""]:
                 continue
             line = reader.line_num
@@ -84,19 +88,26 @@ def read_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]],
     return out
 
 
+def finite_row(cells: Sequence[str]) -> tuple[float, ...]:
+    """The numbers in ``cells``; ValueError for text, ``nan`` and infinities,
+    naming the first such cell."""
+    values = tuple(map(float, cells))
+    if not all(map(math.isfinite, values)):
+        bad = next(cell for cell, value in zip(cells, values) if not math.isfinite(value))
+        raise ValueError(f"non-finite number {bad!r}")
+    return values
+
+
 def finite(cell: str) -> float:
     """The number in ``cell``; ValueError for text, ``nan`` and infinities."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {cell!r}")
-    return value
+    return finite_row((cell,))[0]
 
 
 def bare_cell(text: str, what: str) -> str:
     """``text`` unchanged if a result CSV can carry it as an unquoted cell:
     non-empty and free of ``,"`` and line breaks.  ValueError naming
     ``what`` otherwise."""
-    if not text or any(c in text for c in ',"\n\r'):
+    if not text or not _NEEDS_QUOTES.isdisjoint(text):
         raise ValueError(f"invalid {what} {text!r}")
     return text
 

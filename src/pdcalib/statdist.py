@@ -1,7 +1,9 @@
 """Statistical kernels shared by the whole package.
 
 Beta variates come from numpy's ``Generator`` on SFC64 streams seeded
-by ``SeedSequence`` spawn keys, and log-gamma from ``math.lgamma``.  On
+by ``SeedSequence`` spawn keys (``rng_stream``), and log-gamma from
+``math.lgamma``.  Only ``rng_stream`` loads ``numpy.random``, when it is
+first called, so a command that draws nothing never imports the sampler.  On
 top of numpy array arithmetic the module adds the log beta function (with
 Stirling's series where lgamma differences would cancel), the regularized
 incomplete beta function through a Lentz-style continued fraction with a
@@ -21,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
 
 __all__ = [
     "BetaParams",
-    "RngStream",
+    "rng_stream",
     "BracketError",
     "ConvergenceError",
     "beta_mean_var",
@@ -65,7 +66,7 @@ class BetaParams:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-class RngStream(Generator):
+def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Reproducible, partitionable source of random variates.
 
     A numpy ``Generator`` on an SFC64 bit generator seeded by
@@ -79,15 +80,15 @@ class RngStream(Generator):
     the numpy version, which does not promise stable distribution streams
     across releases.
     """
+    seed = int(seed)
+    stream_id = int(stream_id)
+    if not 0 <= seed <= _U64_MAX:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    if not 0 <= stream_id <= _U64_MAX:
+        raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
+    from numpy.random import SFC64, Generator, SeedSequence
 
-    def __init__(self, seed: int, stream_id: int = 0) -> None:
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not 0 <= seed <= _U64_MAX:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        if not 0 <= stream_id <= _U64_MAX:
-            raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
-        super().__init__(SFC64(SeedSequence(seed, spawn_key=(stream_id,))))
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream_id,))))
 
 
 def beta_mean_var(p: BetaParams) -> tuple[float, float]:
@@ -98,7 +99,7 @@ def beta_mean_var(p: BetaParams) -> tuple[float, float]:
     return mean, variance
 
 
-def sample_beta(p: BetaParams, rng: RngStream, size: int) -> np.ndarray:
+def sample_beta(p: BetaParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` Beta(alpha, beta) variates from ``rng``.
 
     Values are clipped into the open interval in the rare event a draw

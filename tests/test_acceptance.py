@@ -17,7 +17,7 @@ from pdcalib.calibrator import (CalibrationConfig, calibrate, export_histograms,
 from pdcalib.cli import main
 from pdcalib.cohorts import CohortSnapshot, GradeCount
 from pdcalib.posterior import compute_posterior
-from pdcalib.statdist import BetaParams, RngStream, beta_mean_var
+from pdcalib.statdist import BetaParams, beta_mean_var, rng_stream
 
 WORKERS = 2
 
@@ -108,7 +108,7 @@ def test_06_two_grade_oracle_equivalence():
         post = compute_posterior(CohortSnapshot(
             "t", (GradeCount(1, "a", n1, d1), GradeCount(2, "b", n2, d2))))
         cfg = CalibrationConfig(n_sim=100_000, k_reps=1, seed=7000 + trial)
-        sweep = run_sweep(post, cfg, RngStream(cfg.seed, 0))
+        sweep = run_sweep(post, cfg, rng_stream(cfg.seed, 0))
         oracle = oracle_conditional_means_2grade(p1, p2, grid=6000)
         kept = max(sweep.acceptance_rates[0] * cfg.n_sim, 1.0)
         for got, want, params in zip(sweep.means, oracle, sweep.params):
@@ -132,7 +132,7 @@ def test_07_monotonicity_on_random_portfolios():
             grades.append(GradeCount(order, f"g{order}", n, d))
         post = compute_posterior(CohortSnapshot(f"p{trial}", tuple(grades)))
         cfg = CalibrationConfig(n_sim=20_000, k_reps=1, seed=9000 + trial)
-        sweep = run_sweep(post, cfg, RngStream(cfg.seed, 0))
+        sweep = run_sweep(post, cfg, rng_stream(cfg.seed, 0))
         if any(a > b for a, b in zip(sweep.means, sweep.means[1:])):
             violations += 1
     report("07 monotonicity-50-random-portfolios", violations == 0,

@@ -10,7 +10,7 @@ from pdcalib.calibrator import (CalibrationConfig, CalibrationResult, Insufficie
                                 export_histograms, fit_beta_moments,
                                 oracle_conditional_means_2grade, run_sweep)
 from pdcalib.posterior import GradePosterior, PortfolioPosterior
-from pdcalib.statdist import BetaParams, RngStream, beta_mean_var, sample_beta
+from pdcalib.statdist import BetaParams, beta_mean_var, rng_stream, sample_beta
 
 FAST = dict(n_sim=2000, k_reps=3, seed=9)
 
@@ -35,7 +35,7 @@ class TestFitBetaMoments:
 
     def test_monte_carlo_round_trip(self):
         target = BetaParams(61.0, 1411.0)
-        draws = sample_beta(target, RngStream(77, 0), size=1_000_000)
+        draws = sample_beta(target, rng_stream(77, 0), size=1_000_000)
         fitted = fit_beta_moments(float(draws.mean()), float(draws.std()))
         assert fitted.alpha == pytest.approx(61.0, rel=0.05)
         assert fitted.beta == pytest.approx(1411.0, rel=0.05)
@@ -116,8 +116,8 @@ class TestFilteredPair:
     def test_refit_from_sums_matches_kept_draws(self, lower, upper, n_sim, topup):
         cfg = CalibrationConfig(n_sim=n_sim, k_reps=1, seed=8)
         new_lower, new_upper, accepted, drawn = calibrator._filtered_pair(
-            lower, upper, cfg, RngStream(8, 3), 0)
-        x, y, replay_drawn = self.replay(lower, upper, n_sim, RngStream(8, 3))
+            lower, upper, cfg, rng_stream(8, 3), 0)
+        x, y, replay_drawn = self.replay(lower, upper, n_sim, rng_stream(8, 3))
         assert (accepted, drawn) == (x.size, replay_drawn)
         assert (drawn > n_sim) == topup
         if topup:
@@ -132,13 +132,13 @@ class TestRunSweep:
     def test_needs_two_grades(self):
         cfg = CalibrationConfig(**FAST)
         with pytest.raises(ValueError):
-            run_sweep(portfolio(BetaParams(1, 10)), cfg, RngStream(1, 0))
+            run_sweep(portfolio(BetaParams(1, 10)), cfg, rng_stream(1, 0))
 
     def test_ordered_pair_barely_moves(self):
         # means 0.98% and 8.3%, far apart: filtering removes almost nothing
         p1, p2 = BetaParams(1, 101), BetaParams(1, 11)
         cfg = CalibrationConfig(n_sim=100_000, k_reps=1, seed=3)
-        sweep = run_sweep(portfolio(p1, p2), cfg, RngStream(3, 0))
+        sweep = run_sweep(portfolio(p1, p2), cfg, rng_stream(3, 0))
         o1, o2 = oracle_conditional_means_2grade(p1, p2)
         u1, _ = beta_mean_var(p1)
         u2, _ = beta_mean_var(p2)
@@ -150,7 +150,7 @@ class TestRunSweep:
     def test_identical_grades_split_symmetrically(self):
         p = BetaParams(5, 95)
         cfg = CalibrationConfig(n_sim=100_000, k_reps=1, seed=4)
-        sweep = run_sweep(portfolio(p, p), cfg, RngStream(4, 0))
+        sweep = run_sweep(portfolio(p, p), cfg, rng_stream(4, 0))
         assert sweep.means[0] < 0.05 < sweep.means[1]
         assert sweep.means[0] + sweep.means[1] == pytest.approx(0.10, abs=1e-3)
         o1, o2 = oracle_conditional_means_2grade(p, p)
@@ -160,14 +160,14 @@ class TestRunSweep:
     def test_mean_equals_shape_ratio(self):
         cfg = CalibrationConfig(**FAST)
         sweep = run_sweep(portfolio(BetaParams(4, 150), BetaParams(2, 200), BetaParams(9, 100)),
-                          cfg, RngStream(9, 0))
+                          cfg, rng_stream(9, 0))
         for mean, params in zip(sweep.means, sweep.params):
             assert mean == pytest.approx(params.alpha / (params.alpha + params.beta), abs=1e-12)
 
     def test_monotone_after_convergence(self):
         cfg = CalibrationConfig(**FAST)
         sweep = run_sweep(portfolio(BetaParams(4, 150), BetaParams(2, 200), BetaParams(9, 100)),
-                          cfg, RngStream(2, 0))
+                          cfg, rng_stream(2, 0))
         assert all(a <= b for a, b in zip(sweep.means, sweep.means[1:]))
         assert sweep.passes >= 1
 
@@ -176,27 +176,43 @@ class TestRunSweep:
         # grade back below the first, so one pass never leaves them in order
         post = portfolio(BetaParams(17, 385), BetaParams(5, 197), BetaParams(11, 391))
         cfg = CalibrationConfig(n_sim=2000, k_reps=1, seed=5)
-        assert run_sweep(post, cfg, RngStream(5, 0)).passes == 2
+        assert run_sweep(post, cfg, rng_stream(5, 0)).passes == 2
         monkeypatch.setattr(calibrator, "_MAX_PASSES", 1)
         with pytest.raises(SweepNotConvergedError, match="after 1 passes"):
-            run_sweep(post, cfg, RngStream(5, 0))
+            run_sweep(post, cfg, rng_stream(5, 0))
 
     def test_already_monotone_is_near_fixed_point(self):
         # adjacent means separated by far more than 6 posterior sds
         params = [BetaParams(101, 9901), BetaParams(301, 9701), BetaParams(901, 9101)]
         cfg = CalibrationConfig(n_sim=50_000, k_reps=1, seed=6)
-        sweep = run_sweep(portfolio(*params), cfg, RngStream(6, 0))
+        sweep = run_sweep(portfolio(*params), cfg, rng_stream(6, 0))
         assert sweep.passes == 1
         for got, p in zip(sweep.means, params):
             mean, _ = beta_mean_var(p)
             assert abs(got - mean) / mean < 0.01
+
+    def test_draw_counts_match_the_sampler_calls(self, monkeypatch):
+        # pair 1 keeps about 2% of 1,000 pairs, so it needs top-up blocks
+        sizes = []
+
+        def counting(p, rng, size):
+            sizes.append(size)
+            return sample_beta(p, rng, size=size)
+
+        monkeypatch.setattr(calibrator, "sample_beta", counting)
+        post = portfolio(BetaParams(60, 940), BetaParams(40, 960), BetaParams(9, 100))
+        cfg = CalibrationConfig(n_sim=1000, k_reps=1, seed=8)
+        sweep = run_sweep(post, cfg, rng_stream(8, 0))
+        assert sweep.draws_total == sum(sizes)
+        assert sweep.topup_blocks_total == len(sizes) // 2 - 2 * sweep.passes
+        assert sweep.topup_blocks_total > 0
 
     def test_insufficient_acceptance_fails_loudly(self):
         # hugely inverted, tight grades: the order constraint is never met
         post = portfolio(BetaParams(5001, 5001), BetaParams(1, 10001))
         cfg = CalibrationConfig(n_sim=1000, k_reps=1, seed=1)
         with pytest.raises(InsufficientAcceptanceError, match="pair 1"):
-            run_sweep(post, cfg, RngStream(1, 0))
+            run_sweep(post, cfg, rng_stream(1, 0))
 
 
 class TestCalibrate:
@@ -284,7 +300,8 @@ class TestHistograms:
             grade_means=tuple(matrix.mean(axis=0)), grade_medians=tuple(np.median(matrix, axis=0)),
             ci_lower=tuple(matrix.min(axis=0)), ci_upper=tuple(matrix.max(axis=0)),
             alpha_hat=(1.0,) * m, beta_hat=(1.0,) * m, sweep_means=matrix,
-            pair_acceptance=(1.0,) * (m - 1), passes=(1,) * matrix.shape[0], warnings=())
+            pair_acceptance=(1.0,) * (m - 1), passes=(1,) * matrix.shape[0], draws_total=0,
+            topup_blocks_total=0, warnings=())
 
     def test_degenerate_single_bin(self):
         res = self._result(np.full((300, 1), 0.05), ["g1"])

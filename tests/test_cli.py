@@ -1,10 +1,13 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdcalib
 from pdcalib import calibrator, csvio, statdist
 from pdcalib.cli import main
 from pdcalib.cohorts import parse_cohort_csv
@@ -70,8 +73,23 @@ class TestCalibrateCommand:
             assert manifest[f"mc_se_grade_{i}"] == pytest.approx(want, rel=1e-12)
             assert 0.0 < want < float(rows[i - 1][10]) - float(rows[i - 1][9])
         assert "mc_se_grade_4" not in manifest
-        assert not any("mc_se" in line or "passes" in line
+        assert not any("mc_se" in line or "passes" in line or "draws" in line or "topup" in line
                        for line in (out / "calibration.csv").read_text().splitlines())
+
+    def test_draw_counts_match_the_sampler_calls(self, tame_csv, tmp_path, monkeypatch):
+        sizes = []
+
+        def counting(p, rng, size):
+            sizes.append(size)
+            return statdist.sample_beta(p, rng, size=size)
+
+        monkeypatch.setattr(calibrator, "sample_beta", counting)
+        out = tmp_path / "out"
+        assert run_calibrate(tame_csv, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["draws_total"] == sum(sizes) > 0
+        pair_steps = 2 * sum(int(p) * n for p, n in manifest["passes_histogram"].items())
+        assert manifest["topup_blocks_total"] == len(sizes) // 2 - pair_steps
 
     def test_single_rep_has_no_standard_error(self, tame_csv, tmp_path):
         out = tmp_path / "out"
@@ -310,8 +328,9 @@ class TestOutputKeys:
     CALIBRATE_KEYS = ENVELOPE_KEYS | input_keys("input") | {
         "period", "n_grades", "n_sim", "k_reps", "seed", "ci_level", "min_accepted",
         "max_resample_rounds", "max_passes", "threads", "emit_histograms", "passes_min",
-        "passes_max", "passes_histogram", "warnings", "acceptance_rate_pair_1",
-        "acceptance_rate_pair_2", "mc_se_grade_1", "mc_se_grade_2", "mc_se_grade_3"}
+        "passes_max", "passes_histogram", "draws_total", "topup_blocks_total", "warnings",
+        "acceptance_rate_pair_1", "acceptance_rate_pair_2", "mc_se_grade_1", "mc_se_grade_2",
+        "mc_se_grade_3"}
     COMPARE_KEYS = ENVELOPE_KEYS | input_keys("input", "calibration", "external") | {
         "period", "pt_confidence", "pt_enforce_monotone", "central_tendency",
         "total_performing", "total_defaults", "methods"}
@@ -407,6 +426,13 @@ class TestBadInputCells:
         assert f"{kind}.csv: line 3: {message}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["grade_order", "label", "simulated", "pluto_tasche"])
+    def test_method_named_like_a_comparison_column_exits_2(self, tame_csv, tmp_path, capsys, name):
+        assert run_with_bad_input(tame_csv, tmp_path, "external", f"2,{name},0.01") == 2
+        err = capsys.readouterr().err
+        assert f"external.csv: line 3: method name {name!r} is reserved" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind,row,message", [
         ("external", "2,q,nan", "non-finite number 'nan'"),
         ("external", "2,q,inf", "non-finite number 'inf'"),
@@ -423,3 +449,25 @@ class TestBadInputCells:
         assert f"{kind}.csv: line 3: {message}" in err
         assert "DLASCL" not in err and "converge" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestImportFootprint:
+    """Only `calibrate` draws random numbers, so only it loads the sampler and the pool."""
+
+    @staticmethod
+    def modules_loaded(code: str) -> list[bool]:
+        src = str(Path(pdcalib.__file__).resolve().parents[1])
+        probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+                 "print([m in sys.modules for m in ('numpy.random', 'concurrent.futures')])")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        return json.loads(done.stdout.splitlines()[-1].lower())
+
+    def test_importing_the_cli_loads_neither(self):
+        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False, False]
+
+    def test_calibrate_loads_both(self, tame_csv, tmp_path):
+        argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
+                "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "out")]
+        code = f"from pdcalib.cli import main\nassert main({argv!r}) == 0"
+        assert self.modules_loaded(code) == [True, True]

@@ -5,9 +5,9 @@ import pytest
 from numpy.random import SFC64, Generator, SeedSequence
 
 from pdcalib import statdist
-from pdcalib.statdist import (BetaParams, BracketError, ConvergenceError, RngStream,
-                              _beta_cont_frac, beta_cdf, beta_mean_var, binomial_tail_le,
-                              log_beta, sample_beta, solve_monotone)
+from pdcalib.statdist import (BetaParams, BracketError, ConvergenceError, _beta_cont_frac,
+                              beta_cdf, beta_mean_var, binomial_tail_le, log_beta,
+                              rng_stream, sample_beta, solve_monotone)
 
 
 class TestBetaParams:
@@ -39,39 +39,39 @@ class TestBetaMeanVar:
 
 class TestRngStream:
     def test_same_key_is_bit_identical(self):
-        a = RngStream(123, 7).random(10_000)
-        b = RngStream(123, 7).random(10_000)
+        a = rng_stream(123, 7).random(10_000)
+        b = rng_stream(123, 7).random(10_000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(123, 0).random(1000)
-        b = RngStream(123, 1).random(1000)
+        a = rng_stream(123, 0).random(1000)
+        b = rng_stream(123, 1).random(1000)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = RngStream(1, 0).random(1000)
-        b = RngStream(2, 0).random(1000)
+        a = rng_stream(1, 0).random(1000)
+        b = rng_stream(2, 0).random(1000)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (1 << 64, 0), (0, 1 << 64)])
     def test_key_bounds(self, seed, stream):
         with pytest.raises(ValueError):
-            RngStream(seed, stream)
+            rng_stream(seed, stream)
 
     @pytest.mark.parametrize("seed,stream", [(0, 0), (42, 3), ((1 << 64) - 1, (1 << 64) - 1)])
     def test_keyed_by_seed_sequence_spawn_key(self, seed, stream):
         want = Generator(SFC64(SeedSequence(seed, spawn_key=(stream,)))).random(1000)
-        assert np.array_equal(RngStream(seed, stream).random(1000), want)
+        assert np.array_equal(rng_stream(seed, stream).random(1000), want)
 
     def test_swapped_keys_differ(self):
-        assert not np.array_equal(RngStream(1, 2).random(1000), RngStream(2, 1).random(1000))
+        assert not np.array_equal(rng_stream(1, 2).random(1000), rng_stream(2, 1).random(1000))
 
     def test_first_draws_across_streams_are_uniform_and_uncorrelated(self):
         # the first uniform of each of 20,000 streams of one seed: KS statistic
         # below the 0.1% critical value, and adjacent streams' lag-1
         # correlation within 4 standard errors of 0
         n = 20_000
-        first = np.array([RngStream(2024, k).random() for k in range(n)])
+        first = np.array([rng_stream(2024, k).random() for k in range(n)])
         grid = np.arange(1, n + 1) / n
         ordered = np.sort(first)
         d_stat = max(np.max(np.abs(ordered - grid)), np.max(np.abs(ordered - (grid - 1.0 / n))))
@@ -82,7 +82,7 @@ class TestRngStream:
 
 class TestSampleBeta:
     def test_uniform_case(self):
-        draws = sample_beta(BetaParams(1, 1), RngStream(42, 0), size=1_000_000)
+        draws = sample_beta(BetaParams(1, 1), rng_stream(42, 0), size=1_000_000)
         assert draws.min() > 0.0 and draws.max() < 1.0
         assert draws.mean() == pytest.approx(0.5, abs=0.002)
 
@@ -90,13 +90,13 @@ class TestSampleBeta:
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 1815), (61, 1411), (50001, 950001)])
     def test_heavy_cohort_mean(self, alpha, beta):
         mean, var = beta_mean_var(BetaParams(alpha, beta))
-        draws = sample_beta(BetaParams(alpha, beta), RngStream(42, 1), size=1_000_000)
+        draws = sample_beta(BetaParams(alpha, beta), rng_stream(42, 1), size=1_000_000)
         se = math.sqrt(var / 1_000_000)
         assert abs(draws.mean() - mean) < 4.0 * se
         assert draws.min() > 0.0 and draws.max() < 1.0
 
     def test_shape_below_one(self):
-        draws = sample_beta(BetaParams(0.5, 0.5), RngStream(42, 2), size=200_000)
+        draws = sample_beta(BetaParams(0.5, 0.5), rng_stream(42, 2), size=200_000)
         assert draws.min() > 0.0 and draws.max() < 1.0
         se = math.sqrt(0.125 / 200_000)
         assert abs(draws.mean() - 0.5) < 4.0 * se
@@ -111,7 +111,7 @@ class TestSampleBeta:
             a = float(10.0 ** meta.uniform(-0.3, 2.7))
             b = float(10.0 ** meta.uniform(-0.3, 2.7))
             p = BetaParams(a, b)
-            draws = np.sort(sample_beta(p, RngStream(1000 + trial, 0), size=n))
+            draws = np.sort(sample_beta(p, rng_stream(1000 + trial, 0), size=n))
             cdf = beta_cdf(draws, p)
             grid = np.arange(1, n + 1) / n
             d_stat = max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1.0 / n))))
