@@ -1,7 +1,7 @@
 """Monotone probability-of-default calibration from cohort count data.
 
-The pipeline: ingest per-period cohort counts (`cohorts`), form per-grade
-beta posteriors (`posterior`), restore the grade ordering with the
+The pipeline: ingest per-period cohort counts and map each grade's label
+to its beta posterior (`cohorts`), restore the grade ordering with the
 simulate-filter-refit sweep and build sampling distributions
 (`calibrator`), benchmark against most-prudent estimates and scale
 everything to the portfolio central tendency (`benchmarks`), and project
@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 
 from .calibrator import (CalibrationConfig, CalibrationResult, SweepResult, calibrate,
                          export_histograms, fit_beta_moments, run_sweep)
-from .cohorts import CohortSnapshot, GradeCount, observed_default_rates, parse_cohort_csv
+from .cohorts import (CohortSnapshot, GradeCount, compute_posterior, observed_default_rates,
+                      parse_cohort_csv)
 from .benchmarks import build_comparison, central_tendency, pluto_tasche, scale_to_ct
 from .betareg import RegressionModel, fit, predict_mean
-from .posterior import GradePosterior, PortfolioPosterior, compute_posterior
 from .statdist import (BetaParams, beta_cdf, beta_mean_var, binomial_tail_le,
                        rng_stream, sample_beta, solve_monotone)
 
@@ -25,7 +25,7 @@ __all__ = [
     "BetaParams", "rng_stream", "beta_mean_var", "sample_beta",
     "beta_cdf", "binomial_tail_le", "solve_monotone",
     "GradeCount", "CohortSnapshot", "parse_cohort_csv", "observed_default_rates",
-    "GradePosterior", "PortfolioPosterior", "compute_posterior",
+    "compute_posterior",
     "CalibrationConfig", "SweepResult", "CalibrationResult",
     "fit_beta_moments", "run_sweep", "calibrate", "export_histograms",
     "central_tendency", "pluto_tasche", "scale_to_ct", "build_comparison",

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohorts import CohortSnapshot
-from .csvio import CohortError, bare_cell, finite, read_rows
+from .csvio import CohortError, bare_cell, probability, read_rows
 from .statdist import binomial_tail_le, log_beta, solve_monotone
 
 __all__ = [
@@ -131,11 +131,10 @@ def parse_external_csv(source) -> dict[str, dict[int, float]]:
     methods: dict[str, dict[int, float]] = {}
 
     def convert(cells: list[str]) -> None:
-        order, name, pd = int(cells[0]), bare_cell(cells[1], "method name"), finite(cells[2])
+        order, name = int(cells[0]), bare_cell(cells[1], "method name")
+        pd = probability(cells[2], "pd")
         if name in RESERVED_METHOD_NAMES:
             raise ValueError(f"method name {name!r} is reserved for a comparison.csv column")
-        if not 0.0 <= pd <= 1.0:
-            raise ValueError(f"pd must lie in [0, 1], got {cells[2]}")
         column = methods.setdefault(name, {})
         if order in column:
             raise ValueError(f"duplicate grade order {order} for {name!r}")

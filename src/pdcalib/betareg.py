@@ -128,6 +128,8 @@ def _regressors(y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError(f"regressors must be an n x k array, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"regressors must be finite, got {y[~np.isfinite(y)][0]}")
     return y
 
 

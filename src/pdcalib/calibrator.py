@@ -13,25 +13,26 @@ Monte-Carlo filter:
    means is in order.
 
 One such converged sweep yields a fitted shape pair and a calibrated mean
-per grade.  Repeating the sweep ``k_reps`` times from the raw posteriors,
-each repetition on its own random stream, yields a sampling distribution
-per grade from which the point estimate, median and confidence bounds are
-reported.  The repetitions run on threads of this one process (the beta
-sampler and numpy's array loops release the interpreter lock); results are
-bit-reproducible for a fixed (seed, config, data, numpy version) regardless
-of the thread count.  ``calibrate`` is the only caller of ``rng_stream``
-and the only user of a thread pool, so numpy's sampler and
-``concurrent.futures`` are imported when it runs, not with the module.
+per grade.  Repeating the sweep ``k_reps`` times from the raw posteriors
+(the label -> Beta mapping of ``cohorts.compute_posterior``, best grade
+first), each repetition on its own random stream, yields a sampling
+distribution per grade from which the point estimate, median and
+confidence bounds are reported.  The repetitions run on threads of this one
+process (the beta sampler and numpy's array loops release the interpreter
+lock); results are bit-reproducible for a fixed (seed, config, data, numpy
+version) regardless of the thread count.  ``calibrate`` is the only caller
+of ``rng_stream`` and the only user of a thread pool, so numpy's sampler
+and ``concurrent.futures`` are imported when it runs, not with the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .posterior import PortfolioPosterior
 from .statdist import BetaParams, rng_stream, sample_beta
 
 __all__ = [
@@ -129,7 +130,6 @@ class CalibrationResult:
     are the sweeps' counts summed.
     """
 
-    labels: tuple[str, ...]
     grade_means: tuple[float, ...]
     grade_medians: tuple[float, ...]
     ci_lower: tuple[float, ...]
@@ -141,7 +141,6 @@ class CalibrationResult:
     passes: tuple[int, ...]
     draws_total: int
     topup_blocks_total: int
-    warnings: tuple[str, ...]
 
 
 def fit_beta_moments(sample_mean: float, sample_sd: float) -> BetaParams:
@@ -212,7 +211,7 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
     return lower, upper, accepted, drawn
 
 
-def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig,
+def run_sweep(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
               rng: np.random.Generator) -> SweepResult:
     """One full calibration sweep over adjacent grade pairs.
 
@@ -223,11 +222,10 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig,
     until the fitted means are nondecreasing, which is what finally makes
     every grade calibrated.
     """
-    grades = post.grades
-    m = len(grades)
+    params = list(post.values())
+    m = len(params)
     if m < 2:
         raise ValueError("calibration needs at least 2 grades")
-    params: list[BetaParams] = [g.params for g in grades]
     accepted_per_pair = np.zeros(m - 1)
     drawn_per_pair = np.zeros(m - 1)
     for passes in range(1, _MAX_PASSES + 1):
@@ -244,7 +242,7 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig,
             f"calibrated means still out of order after {_MAX_PASSES} passes")
     pairs_drawn = int(drawn_per_pair.sum())
     return SweepResult(
-        labels=post.labels,
+        labels=tuple(post),
         params=tuple(params),
         means=tuple(means),
         acceptance_rates=tuple(accepted_per_pair / drawn_per_pair),
@@ -254,7 +252,8 @@ def run_sweep(post: PortfolioPosterior, cfg: CalibrationConfig,
     )
 
 
-def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1) -> CalibrationResult:
+def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
+              workers: int = 1) -> CalibrationResult:
     """Sampling distribution of the calibrated means over ``k_reps`` sweeps.
 
     Repetition ``k`` restarts from the raw posteriors on stream
@@ -278,11 +277,7 @@ def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1
     betas = np.array([[p.beta for p in s.params] for s in sweeps])
     acceptance = np.array([s.acceptance_rates for s in sweeps]).mean(axis=0)
     tail = (1.0 - cfg.ci_level) / 2.0
-    warnings = tuple(
-        f"grade {g.label}: empty cohort, posterior equals the prior"
-        for g in post.grades if g.performing_start == 0)
     return CalibrationResult(
-        labels=post.labels,
         grade_means=tuple(float(v) for v in mean_matrix.mean(axis=0)),
         grade_medians=tuple(float(v) for v in np.median(mean_matrix, axis=0)),
         ci_lower=tuple(float(v) for v in np.quantile(mean_matrix, tail, axis=0)),
@@ -294,7 +289,6 @@ def calibrate(post: PortfolioPosterior, cfg: CalibrationConfig, workers: int = 1
         passes=tuple(s.passes for s in sweeps),
         draws_total=sum(s.draws_total for s in sweeps),
         topup_blocks_total=sum(s.topup_blocks_total for s in sweeps),
-        warnings=warnings,
     )
 
 

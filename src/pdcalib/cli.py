@@ -9,7 +9,8 @@ compare     scaled side-by-side of the calibrated means, the most-prudent
 predict     fit the link-scale regression on a calibrated history and
             predict means for new regressor rows
 
-All inputs are read in the one CSV dialect of ``csvio``.  All
+Each input file is opened by its reader, in the one CSV dialect of
+``csvio``, so a missing file is an input error like a malformed one.  All
 machine-readable outputs store probabilities as plain decimals (0.0300,
 never "3.00%"); ``--pretty`` additionally prints a formatted table to
 stdout.  Every result file references its manifest, and a command's
@@ -35,9 +36,9 @@ from .betareg import fit as fit_regression
 from .calibrator import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
                          InsufficientAcceptanceError, SweepNotConvergedError,
                          VarianceTooLargeError, calibrate, export_histograms)
-from .cohorts import CohortError, CohortSnapshot, observed_default_rates, parse_cohort_csv
-from .csvio import MANIFEST, csv_text, envelope, finite, json_text, read_rows, write_outputs
-from .posterior import compute_posterior
+from .cohorts import (CohortError, CohortSnapshot, compute_posterior, observed_default_rates,
+                      parse_cohort_csv)
+from .csvio import MANIFEST, csv_text, envelope, json_text, probability, read_rows, write_outputs
 from .statdist import BracketError, ConvergenceError
 
 EXIT_OK = 0
@@ -49,13 +50,6 @@ _NUMERIC_ERRORS = (InsufficientAcceptanceError, SweepNotConvergedError,
 
 CALIBRATION_HEADER = ("grade_order", "label", "n", "d", "observed_rate",
                       "alpha_hat", "beta_hat", "mean", "median", "ci_lo", "ci_hi")
-
-
-def _require_file(raw: str) -> Path:
-    path = Path(raw)
-    if not path.is_file():
-        raise CohortError(f"input file not found: {path}")
-    return path
 
 
 def _select_snapshot(snapshots, period: str) -> CohortSnapshot:
@@ -84,13 +78,12 @@ def _pct(value: float) -> str:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    input_path = _require_file(args.input)
-    snapshots = parse_cohort_csv(input_path)
-    snapshot = _select_snapshot(snapshots, args.period)
+    snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     cfg = CalibrationConfig(n_sim=args.n_sim, k_reps=args.k_reps, seed=args.seed, ci_level=args.ci)
-    post = compute_posterior(snapshot)
-    result = calibrate(post, cfg, workers=args.threads)
-    for message in result.warnings:
+    result = calibrate(compute_posterior(snapshot), cfg, workers=args.threads)
+    warnings = [f"grade {g.label}: empty cohort, posterior equals the prior"
+                for g in snapshot.grades if g.performing_start == 0]
+    for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
 
     observed = observed_default_rates(snapshot)
@@ -106,7 +99,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                          for lo, hi, count in zip(edges, edges[1:], counts)]
             files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"), hist_rows)
 
-    manifest = envelope("calibrate", started, input=input_path)
+    manifest = envelope("calibrate", started, input=args.input)
     manifest.update({
         "period": snapshot.period,
         "n_grades": len(snapshot.grades),
@@ -124,13 +117,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "passes_histogram": {str(p): n for p, n in Counter(result.passes).items()},
         "draws_total": result.draws_total,
         "topup_blocks_total": result.topup_blocks_total,
-        "warnings": "; ".join(result.warnings),
+        "warnings": "; ".join(warnings),
     })
     for i, rate in enumerate(result.pair_acceptance, start=1):
         manifest[f"acceptance_rate_pair_{i}"] = rate
     # Monte-Carlo standard error of each reported mean; one repetition has none
     spread = result.sweep_means.std(axis=0, ddof=1) if cfg.k_reps > 1 else None
-    for i in range(len(result.labels)):
+    for i in range(len(snapshot.grades)):
         manifest[f"mc_se_grade_{i + 1}"] = (
             None if spread is None else float(spread[i]) / math.sqrt(cfg.k_reps))
     write_outputs(args.out, files, manifest)
@@ -150,21 +143,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    input_path = _require_file(args.input)
-    calibration_path = _require_file(args.calibration)
-    external_path = _require_file(args.external) if args.external else None
-    snapshots = parse_cohort_csv(input_path)
-    snapshot = _select_snapshot(snapshots, args.period)
+    snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     # (grade order, label, mean) of each calibrated grade
-    calibrated = read_rows(calibration_path, CALIBRATION_HEADER,
-                           lambda cells: (int(cells[0]), cells[1], finite(cells[7])))
+    calibrated = read_rows(args.calibration, CALIBRATION_HEADER,
+                           lambda cells: (int(cells[0]), cells[1], probability(cells[7], "mean")))
     if [row[:2] for row in calibrated] != [(g.order, g.label) for g in snapshot.grades]:
         raise CohortError(
             "calibration column mismatch: grade orders/labels differ from the input period")
 
     pt_pds = pluto_tasche(snapshot, args.pt_confidence)
-    external = (align_external(parse_external_csv(external_path), snapshot)
-                if external_path else None)
+    external = (align_external(parse_external_csv(args.external), snapshot)
+                if args.external else None)
     columns = build_comparison(snapshot, [mean for _, _, mean in calibrated], pt_pds, external)
     ct = central_tendency(snapshot)
 
@@ -173,8 +162,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = [[g.order, g.label, *(_fmt(columns[m][i]) for m in methods)]
             for i, g in enumerate(snapshot.grades)]
 
-    manifest = envelope("compare", started, input=input_path, calibration=calibration_path,
-                        external=external_path)
+    manifest = envelope("compare", started, input=args.input, calibration=args.calibration,
+                        external=args.external)
     manifest.update({
         "period": snapshot.period,
         "pt_confidence": args.pt_confidence,
@@ -197,11 +186,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    history_path = _require_file(args.history)
-    newdata_path = _require_file(args.newdata)
-    _, y_history, mu_history = parse_history_csv(history_path)
+    _, y_history, mu_history = parse_history_csv(args.history)
     model = fit_regression(y_history, mu_history)
-    periods, y_new = parse_newdata_csv(newdata_path, len(model.coefficients))
+    periods, y_new = parse_newdata_csv(args.newdata, len(model.coefficients))
 
     model_doc = {
         "manifest": MANIFEST,
@@ -213,7 +200,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         model_doc[f"coefficient_{i}"] = coefficient
     rows = [[period, _fmt(mu)] for period, mu in zip(periods, predict_mean(model, y_new))]
 
-    manifest = envelope("predict", started, history=history_path, newdata=newdata_path)
+    manifest = envelope("predict", started, history=args.history, newdata=args.newdata)
     manifest.update({
         "n_observations": len(mu_history),
         "n_regressors": len(model.coefficients),
@@ -237,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cal = sub.add_parser("calibrate", help="calibrate one period's PDs")
-    cal.add_argument("--input", required=True, help="cohort CSV")
+    cal.add_argument("--input", required=True, type=Path, help="cohort CSV")
     cal.add_argument("--period", required=True, help="period label to calibrate")
     cal.add_argument("--n-sim", dest="n_sim", type=int, default=100_000)
     cal.add_argument("--k-reps", dest="k_reps", type=int, default=300)
@@ -251,18 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     cal.set_defaults(func=cmd_calibrate)
 
     cmp_ = sub.add_parser("compare", help="scaled comparison against benchmark methods")
-    cmp_.add_argument("--input", required=True, help="cohort CSV")
+    cmp_.add_argument("--input", required=True, type=Path, help="cohort CSV")
     cmp_.add_argument("--period", required=True)
-    cmp_.add_argument("--calibration", required=True, help="calibration.csv from `calibrate`")
+    cmp_.add_argument("--calibration", required=True, type=Path,
+                      help="calibration.csv from `calibrate`")
     cmp_.add_argument("--pt-confidence", dest="pt_confidence", type=float, default=0.75)
-    cmp_.add_argument("--external", help="optional grade_order,method_name,pd CSV")
+    cmp_.add_argument("--external", type=Path, help="optional grade_order,method_name,pd CSV")
     cmp_.add_argument("--out", required=True)
     cmp_.add_argument("--pretty", action="store_true")
     cmp_.set_defaults(func=cmd_compare)
 
     pred = sub.add_parser("predict", help="fit the regression and predict new means")
-    pred.add_argument("--history", required=True, help="period,mu,y1,...,yk CSV")
-    pred.add_argument("--newdata", required=True, help="period,y1,...,yk CSV")
+    pred.add_argument("--history", required=True, type=Path, help="period,mu,y1,...,yk CSV")
+    pred.add_argument("--newdata", required=True, type=Path, help="period,y1,...,yk CSV")
     pred.add_argument("--out", required=True)
     pred.add_argument("--pretty", action="store_true")
     pred.set_defaults(func=cmd_predict)

@@ -1,4 +1,4 @@
-"""Cohort count data: model, CSV ingestion, observed rates.
+"""Cohort count data: model, CSV ingestion, observed rates and posteriors.
 
 Input CSV schema, in the shared dialect of ``csvio`` (UTF-8, header
 first, blank and ``#`` lines ignored, errors named by line)::
@@ -11,6 +11,11 @@ non-empty and need no CSV quoting.  A row labelled ``C/D``, the default
 bucket, is validated and then dropped: the default bucket is an absorbing
 state, not a calibratable grade.  ``CohortError`` lives in ``csvio`` and
 is re-exported here.
+
+With the flat Beta(1, 1) prior, a grade with n performing entities of
+which d defaulted has the conjugate posterior Beta(1 + d, 1 + n - d); a
+grade without data keeps the prior.  Grades are treated as independent,
+so the portfolio posterior maps each label to its own, best grade first.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .csvio import CohortError, bare_cell, read_rows
+from .statdist import BetaParams
 
 __all__ = [
     "CohortError",
@@ -25,6 +31,7 @@ __all__ = [
     "CohortSnapshot",
     "parse_cohort_csv",
     "observed_default_rates",
+    "compute_posterior",
 ]
 
 COHORT_HEADER = ("period", "grade_order", "grade_label", "performing_start", "defaults_end")
@@ -65,10 +72,6 @@ class CohortSnapshot:
         labels = [g.label for g in self.grades]
         if len(set(labels)) != len(labels):
             raise ValueError(f"period {self.period}: duplicate grade labels")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.grades)
 
     @property
     def total_performing(self) -> int:
@@ -116,3 +119,9 @@ def observed_default_rates(snapshot: CohortSnapshot) -> list[float]:
     """Per-grade observed rate d/n; 0.0 for an empty cohort."""
     return [g.defaults_end / g.performing_start if g.performing_start else 0.0
             for g in snapshot.grades]
+
+
+def compute_posterior(snapshot: CohortSnapshot) -> dict[str, BetaParams]:
+    """Posterior Beta(1 + d, 1 + n - d) of every grade by label, best grade first."""
+    return {g.label: BetaParams(1.0 + g.defaults_end, 1.0 + g.performing_start - g.defaults_end)
+            for g in snapshot.grades}

@@ -15,8 +15,7 @@ from pdcalib.benchmarks import central_tendency, pluto_tasche, scale_to_ct
 from pdcalib.calibrator import (CalibrationConfig, calibrate, export_histograms,
                                 fit_beta_moments, oracle_conditional_means_2grade, run_sweep)
 from pdcalib.cli import main
-from pdcalib.cohorts import CohortSnapshot, GradeCount
-from pdcalib.posterior import compute_posterior
+from pdcalib.cohorts import CohortSnapshot, GradeCount, compute_posterior
 from pdcalib.statdist import BetaParams, beta_mean_var, rng_stream
 
 WORKERS = 2

@@ -48,6 +48,20 @@ class TestPredict:
         assert predict_mean(RegressionModel(-1.0, (0.8,)), np.empty((0, 1))).shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteRegressors:
+    # LAPACK would print DLASCL complaints to the process stderr on a nan design
+    def test_fit_rejects(self, bad, capfd):
+        with pytest.raises(ValueError, match="regressors must be finite"):
+            fit([[bad], [1.0], [2.0]], [0.1, 0.2, 0.3])
+        assert capfd.readouterr().err == ""
+
+    def test_predict_rejects(self, bad, capfd):
+        with pytest.raises(ValueError, match="regressors must be finite"):
+            predict_mean(RegressionModel(0.0, (1.0,)), [[1.0], [bad]])
+        assert capfd.readouterr().err == ""
+
+
 class TestFit:
     def test_single_point_intercept_only(self):
         model = fit(NO_REGRESSORS, [0.5])

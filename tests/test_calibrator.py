@@ -9,17 +9,13 @@ from pdcalib.calibrator import (CalibrationConfig, CalibrationResult, Insufficie
                                 SweepNotConvergedError, VarianceTooLargeError, calibrate,
                                 export_histograms, fit_beta_moments,
                                 oracle_conditional_means_2grade, run_sweep)
-from pdcalib.posterior import GradePosterior, PortfolioPosterior
 from pdcalib.statdist import BetaParams, beta_mean_var, rng_stream, sample_beta
 
 FAST = dict(n_sim=2000, k_reps=3, seed=9)
 
 
-def portfolio(*params, counts=None):
-    counts = counts or [(0, 0)] * len(params)
-    return PortfolioPosterior(tuple(
-        GradePosterior(f"g{i + 1}", p, n, d)
-        for i, (p, (n, d)) in enumerate(zip(params, counts))))
+def portfolio(*params):
+    return {f"g{i + 1}": p for i, p in enumerate(params)}
 
 
 class TestFitBetaMoments:
@@ -266,14 +262,6 @@ class TestCalibrate:
             assert lo <= med <= hi
         assert all(a <= b for a, b in zip(res.grade_means, res.grade_means[1:]))
 
-    def test_empty_cohort_warning(self):
-        from pdcalib.posterior import compute_posterior
-        from pdcalib.cohorts import CohortSnapshot, GradeCount
-        snap = CohortSnapshot("t", (GradeCount(1, "A", 0, 0), GradeCount(2, "B", 500, 5)))
-        cfg = CalibrationConfig(n_sim=2000, k_reps=2, seed=3)
-        res = calibrate(compute_posterior(snap), cfg)
-        assert any("empty cohort" in w for w in res.warnings)
-
     def test_error_annotated_with_repetition(self):
         post = portfolio(BetaParams(5001, 5001), BetaParams(1, 10001))
         cfg = CalibrationConfig(n_sim=1000, k_reps=2, seed=1)
@@ -292,25 +280,24 @@ class TestCalibrate:
 
 
 class TestHistograms:
-    def _result(self, matrix, labels):
+    def _result(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
         m = matrix.shape[1]
         return CalibrationResult(
-            labels=tuple(labels),
             grade_means=tuple(matrix.mean(axis=0)), grade_medians=tuple(np.median(matrix, axis=0)),
             ci_lower=tuple(matrix.min(axis=0)), ci_upper=tuple(matrix.max(axis=0)),
             alpha_hat=(1.0,) * m, beta_hat=(1.0,) * m, sweep_means=matrix,
             pair_acceptance=(1.0,) * (m - 1), passes=(1,) * matrix.shape[0], draws_total=0,
-            topup_blocks_total=0, warnings=())
+            topup_blocks_total=0)
 
     def test_degenerate_single_bin(self):
-        res = self._result(np.full((300, 1), 0.05), ["g1"])
+        res = self._result(np.full((300, 1), 0.05))
         (hist,) = export_histograms(res)
         assert hist == ((0.05, 0.05), (300,))
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(8)
-        res = self._result(rng.uniform(0.01, 0.09, size=(300, 2)), ["g1", "g2"])
+        res = self._result(rng.uniform(0.01, 0.09, size=(300, 2)))
         for edges, counts in export_histograms(res):
             assert sum(counts) == 300
             assert len(counts) == calibrator._HIST_BINS
@@ -319,7 +306,7 @@ class TestHistograms:
     def test_span_covers_all_values(self):
         rng = np.random.default_rng(9)
         matrix = rng.normal(0.1, 0.005, size=(200, 1)).clip(0.01, 0.99)
-        res = self._result(matrix, ["g1"])
+        res = self._result(matrix)
         ((edges, _),) = export_histograms(res)
         assert edges[0] == pytest.approx(matrix.min())
         assert edges[-1] == pytest.approx(matrix.max())

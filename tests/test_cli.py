@@ -10,8 +10,7 @@ import pytest
 import pdcalib
 from pdcalib import calibrator, csvio, statdist
 from pdcalib.cli import main
-from pdcalib.cohorts import parse_cohort_csv
-from pdcalib.posterior import compute_posterior
+from pdcalib.cohorts import compute_posterior, parse_cohort_csv
 
 TAME_CSV = """period,grade_order,grade_label,performing_start,defaults_end
 T1,1,A,800,8
@@ -105,11 +104,15 @@ class TestCalibrateCommand:
         for row in rows:
             assert row[7] == row[8] == row[9] == row[10]
 
-    def test_missing_input_exits_2(self, tmp_path, capsys):
-        rc = main(["calibrate", "--input", str(tmp_path / "nope.csv"), "--period", "T1",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "nope.csv" in capsys.readouterr().err
+    def test_empty_cohort_warning(self, tmp_path, capsys):
+        cohorts = tmp_path / "cohorts.csv"
+        cohorts.write_text(f"{TAME_CSV.splitlines()[0]}\nT1,1,A,0,0\nT1,2,B,500,5\n",
+                           encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_calibrate(cohorts, out, n_sim=2000, k_reps=2, seed=3) == 0
+        warning = "grade A: empty cohort, posterior equals the prior"
+        assert capsys.readouterr().err.splitlines() == [f"warning: {warning}"]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == warning
 
     def test_unknown_period_exits_2(self, tame_csv, tmp_path, capsys):
         rc = main(["calibrate", "--input", str(tame_csv), "--period", "T9",
@@ -381,6 +384,27 @@ class TestOutputKeys:
         assert manifest["link"] == model["link"] == "logit"
 
 
+@pytest.mark.parametrize("option", ["--input", "--calibration", "--external", "--history",
+                                    "--newdata"])
+def test_missing_input_exits_2(tame_csv, tmp_path, capsys, option):
+    missing = tmp_path / "nope.csv"
+    assert run_calibrate(tame_csv, tmp_path / "calib") == 0
+    calibration = tmp_path / "calib" / "calibration.csv"
+    history = tmp_path / "history.csv"
+    history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\n", encoding="utf-8")
+    compare = ["compare", "--input", tame_csv, "--period", "T1", "--calibration", calibration]
+    argv = {
+        "--input": ["calibrate", "--input", missing, "--period", "T1"],
+        "--calibration": compare[:-1] + [missing],
+        "--external": compare + ["--external", missing],
+        "--history": ["predict", "--history", missing, "--newdata", history],
+        "--newdata": ["predict", "--history", history, "--newdata", missing],
+    }[option]
+    assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def run_with_bad_input(tame_csv, tmp_path, kind, row):
     """Exit code of the command reading ``row`` as the data row on line 3 of
     its ``kind`` input (cohort, external, history, newdata or calibration)."""
@@ -442,6 +466,8 @@ class TestBadInputCells:
         ("newdata", "g,nan", "non-finite number 'nan'"),
         ("newdata", "g,-inf", "non-finite number '-inf'"),
         ("calibration", "nan", "non-finite number 'nan'"),
+        ("calibration", "-0.01", "mean must lie in [0, 1], got -0.01"),
+        ("calibration", "1.5", "mean must lie in [0, 1], got 1.5"),
     ])
     def test_bad_number_exits_2(self, tame_csv, tmp_path, capfd, kind, row, message):
         assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2

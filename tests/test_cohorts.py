@@ -44,7 +44,7 @@ class TestParse:
     def test_default_bucket_accepted_but_excluded(self):
         snaps = parse_cohort_csv(io.StringIO(
             HEADER + "2016,1,AAA,14,0\n2016,2,AA,153,0\n2016,9,C/D,40,40\n"))
-        assert snaps[0].labels == ("AAA", "AA")
+        assert [g.label for g in snaps[0].grades] == ["AAA", "AA"]
 
     def test_bad_header(self):
         with pytest.raises(CohortError, match="expected header"):
@@ -53,10 +53,12 @@ class TestParse:
 
 class TestObservedRates:
     def test_fixture_rates(self, snapshot_2016, snapshot_2017):
-        rates16 = dict(zip(snapshot_2016.labels, observed_default_rates(snapshot_2016)))
+        rates16 = {g.label: rate for g, rate in
+                   zip(snapshot_2016.grades, observed_default_rates(snapshot_2016))}
         assert rates16["BB"] == pytest.approx(60 / 1470)
         assert round(100 * rates16["BB"], 1) == 4.1
-        rates17 = dict(zip(snapshot_2017.labels, observed_default_rates(snapshot_2017)))
+        rates17 = {g.label: rate for g, rate in
+                   zip(snapshot_2017.grades, observed_default_rates(snapshot_2017))}
         assert rates17["CC"] == pytest.approx(4 / 28)
         assert round(100 * rates17["CC"], 1) == 14.3
 
