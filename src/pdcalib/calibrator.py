@@ -23,6 +23,8 @@ lock); results are bit-reproducible for a fixed (seed, config, data, numpy
 version) regardless of the thread count.  ``calibrate`` is the only caller
 of ``rng_stream`` and the only user of a thread pool, so numpy's sampler
 and ``concurrent.futures`` are imported when it runs, not with the module.
+``oracle_conditional_means_2grade`` gives one pair step's means as n_sim grows
+without bound, by 1-D Gauss-Legendre quadrature: the filter's test reference.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .statdist import BetaParams, rng_stream, sample_beta
+from .statdist import BetaParams, log_beta, rng_stream, sample_beta
 
 __all__ = [
     "CalibrationConfig",
@@ -292,44 +294,46 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
     )
 
 
-def _beta_pdf_grid(x: np.ndarray, p: BetaParams) -> np.ndarray:
-    """Beta density on a closed [0, 1] grid; needs both shapes >= 1 so the
-    endpoint values stay finite."""
-    a, b = p.alpha, p.beta
-    if a < 1.0 or b < 1.0:
-        raise ValueError("quadrature oracle requires both shape parameters >= 1")
-    ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(x > 0.0, (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)),
-                        0.0 if a == 1.0 else -np.inf)
-        right = np.where(x < 1.0, (b - 1.0) * np.log1p(np.where(x < 1.0, -x, 0.0)),
-                         0.0 if b == 1.0 else -np.inf)
-    return np.exp(left + right + ln_norm)
-
-
-def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams, grid: int = 4000) -> tuple[float, float]:
+def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[float, float]:
     """E[theta_1 | theta_1 <= theta_2] and E[theta_2 | theta_1 <= theta_2]
-    by direct 2-D trapezoid quadrature over the ordered triangle.
+    by 1-D Gauss-Legendre quadrature, independent of the Monte-Carlo path.
 
-    Deliberately independent of the Monte-Carlo path: for two grades the
-    order-constrained marginal means are plain integrals, so this serves
-    as the reference the pairwise filter is checked against.
+    The lower mean is int t f_1 (1 - F_2) / int f_1 (1 - F_2), the upper
+    int t f_2 F_1 / int f_2 F_1.  Cells span 0, 1 and, per grade Beta(a, b),
+    inv_logit(log(a/b) + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], with 8
+    nodes each.  F_1 and 1 - F_2 at a node add the cells on its side to a rule
+    on the rest of its cell, so no complement loses digits and ``beta_cdf``,
+    imprecise near x = 1, is not needed.  Needs every shape >= 1 and an
+    acceptance P(theta_1 <= theta_2) of at least 1e-8, or raises ValueError.
     """
-    if grid < 2000:
-        raise ValueError(f"grid must be at least 2000, got {grid}")
-    x = np.linspace(0.0, 1.0, grid + 1)
-    h = 1.0 / grid
-    f1 = _beta_pdf_grid(x, p1)
-    f2 = _beta_pdf_grid(x, p2)
-    # inner integrals over theta_1 in [0, y], cumulative trapezoid
-    mass1 = np.insert(np.cumsum((f1[1:] + f1[:-1]) * (0.5 * h)), 0, 0.0)
-    moment1 = np.insert(np.cumsum(((x * f1)[1:] + (x * f1)[:-1]) * (0.5 * h)), 0, 0.0)
-    w = np.full(grid + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    prob = float(np.sum(w * f2 * mass1))
-    mean1 = float(np.sum(w * f2 * moment1)) / prob
-    mean2 = float(np.sum(w * x * f2 * mass1)) / prob
-    return mean1, mean2
+    if min(p1.alpha, p1.beta, p2.alpha, p2.beta) < 1.0:
+        raise ValueError("quadrature oracle requires both shape parameters >= 1")
+    z = np.linspace(-12.0, 12.0, 101)
+    logits = [math.log(p.alpha / p.beta) + z * math.sqrt(1.0 / p.alpha + 1.0 / p.beta)
+              for p in (p1, p2)]
+    edges = np.unique(np.concatenate([[0.0, 1.0], 1.0 / (1.0 + np.exp(-np.concatenate(logits)))]))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def rule(p, lo, hi):
+        """The 8 nodes on each [lo, hi], and p's density there times their weights."""
+        half = 0.5 * (hi - lo)[..., None]
+        x = lo[..., None] + half * (1.0 + nodes)
+        return x, half * weights * np.exp((p.alpha - 1.0) * np.log(x) + (p.beta - 1.0)
+                                          * np.log1p(-x) - log_beta(p.alpha, p.beta))
+
+    t, wf1 = rule(p1, edges[:-1], edges[1:])  # one row of nodes per cell
+    wf2 = rule(p2, edges[:-1], edges[1:])[1]
+    cdf1 = (np.cumsum(np.r_[0.0, wf1.sum(axis=1)[:-1]])[:, None]
+            + rule(p1, edges[:-1, None], t)[1].sum(axis=2))
+    sf2 = (np.cumsum(np.r_[0.0, wf2.sum(axis=1)[:0:-1]])[::-1, None]
+           + rule(p2, t, edges[1:, None])[1].sum(axis=2))
+    lower, upper = wf1 * sf2, wf2 * cdf1
+    acceptance = float(lower.sum())
+    if not acceptance >= 1e-8:  # also catches nan, from nodes that round to 1
+        raise ValueError(
+            f"Beta({p1.alpha:g}, {p1.beta:g}) below Beta({p2.alpha:g}, {p2.beta:g}): the oracle "
+            f"needs an acceptance of at least 1e-8, got {acceptance:.3g}")
+    return float((t * lower).sum()) / acceptance, float((t * upper).sum() / upper.sum())
 
 
 def export_histograms(result: CalibrationResult) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:

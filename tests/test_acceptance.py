@@ -16,7 +16,7 @@ from pdcalib.calibrator import (CalibrationConfig, calibrate, export_histograms,
                                 fit_beta_moments, oracle_conditional_means_2grade, run_sweep)
 from pdcalib.cli import main
 from pdcalib.cohorts import CohortSnapshot, GradeCount, compute_posterior
-from pdcalib.statdist import BetaParams, beta_mean_var, rng_stream
+from pdcalib.statdist import BetaParams, rng_stream
 
 WORKERS = 2
 
@@ -94,27 +94,31 @@ def test_05_most_prudent_benchmark(snapshot_2016):
 
 def test_06_two_grade_oracle_equivalence():
     # single-pair sweeps against the independent quadrature of the
-    # order-constrained marginal means, within 3 MC standard errors
+    # order-constrained marginal means, within 3 MC standard errors: ten
+    # random cohort pairs, then the 2016 fixture's zero-default pairs
+    # A/BBB, BBB/BB and AAA/AA
     rng = np.random.default_rng(606)
-    worst = 0.0
-    for trial in range(10):
+    pairs = []
+    for _ in range(10):
         n1, n2 = (int(rng.integers(50, 2000)) for _ in range(2))
         r1 = float(rng.uniform(0.01, 0.15))
         r2 = float(np.clip(r1 + rng.uniform(-0.005, 0.08), 0.005, 0.3))
         d1, d2 = round(r1 * n1), round(r2 * n2)
-        p1 = BetaParams(1.0 + d1, 1.0 + n1 - d1)
-        p2 = BetaParams(1.0 + d2, 1.0 + n2 - d2)
-        post = compute_posterior(CohortSnapshot(
-            "t", (GradeCount(1, "a", n1, d1), GradeCount(2, "b", n2, d2))))
+        pairs.append((BetaParams(1.0 + d1, 1.0 + n1 - d1), BetaParams(1.0 + d2, 1.0 + n2 - d2)))
+    pairs += [(BetaParams(1, 935), BetaParams(1, 1815)), (BetaParams(1, 1815), BetaParams(61, 1411)),
+              (BetaParams(1, 15), BetaParams(1, 154))]
+    worst = 0.0
+    for trial, (p1, p2) in enumerate(pairs):
         cfg = CalibrationConfig(n_sim=100_000, k_reps=1, seed=7000 + trial)
-        sweep = run_sweep(post, cfg, rng_stream(cfg.seed, 0))
-        oracle = oracle_conditional_means_2grade(p1, p2, grid=6000)
+        sweep = run_sweep({"a": p1, "b": p2}, cfg, rng_stream(cfg.seed, 0))
+        oracle = oracle_conditional_means_2grade(p1, p2)
         kept = max(sweep.acceptance_rates[0] * cfg.n_sim, 1.0)
         for got, want, params in zip(sweep.means, oracle, sweep.params):
-            se = math.sqrt(beta_mean_var(params)[1] / kept)
+            mean = params.alpha / (params.alpha + params.beta)
+            se = math.sqrt(mean * (1.0 - mean) / (params.alpha + params.beta + 1.0) / kept)
             worst = max(worst, abs(got - want) / se)
             assert abs(got - want) <= 3.0 * se, (trial, got, want, se)
-    report("06 oracle-equivalence-10-pairs", worst <= 3.0, f"worst |dev|/SE={worst:.2f}")
+    report("06 oracle-equivalence-13-pairs", worst <= 3.0, f"worst |dev|/SE={worst:.2f}")
 
 
 def test_07_monotonicity_on_random_portfolios():
@@ -146,7 +150,9 @@ def test_08_moment_matching_inverse():
         bound = mean * (1.0 - mean)
         variance = float(rng.uniform(1e-6, 0.999)) * bound
         fitted = fit_beta_moments(mean, math.sqrt(variance))
-        mean_back, var_back = beta_mean_var(fitted)
+        total = fitted.alpha + fitted.beta
+        mean_back = fitted.alpha / total
+        var_back = mean_back * (1.0 - mean_back) / (total + 1.0)
         worst = max(worst, abs(mean_back - mean) / mean, abs(var_back - variance) / variance)
         assert abs(mean_back - mean) <= 1e-9 * mean
         assert abs(var_back - variance) <= 1e-9 * variance

@@ -9,7 +9,7 @@ from pdcalib.calibrator import (CalibrationConfig, CalibrationResult, Insufficie
                                 SweepNotConvergedError, VarianceTooLargeError, calibrate,
                                 export_histograms, fit_beta_moments,
                                 oracle_conditional_means_2grade, run_sweep)
-from pdcalib.statdist import BetaParams, beta_mean_var, rng_stream, sample_beta
+from pdcalib.statdist import BetaParams, rng_stream, sample_beta
 
 FAST = dict(n_sim=2000, k_reps=3, seed=9)
 
@@ -40,8 +40,9 @@ class TestFitBetaMoments:
         rng = np.random.default_rng(5)
         for _ in range(200):
             p = BetaParams(float(10 ** rng.uniform(-1, 3)), float(10 ** rng.uniform(-1, 3)))
-            mean, var = beta_mean_var(p)
-            fitted = fit_beta_moments(mean, math.sqrt(var))
+            total = p.alpha + p.beta
+            var = p.alpha * p.beta / (total * total * (total + 1.0))
+            fitted = fit_beta_moments(p.alpha / total, math.sqrt(var))
             assert fitted.alpha == pytest.approx(p.alpha, rel=1e-9)
             assert fitted.beta == pytest.approx(p.beta, rel=1e-9)
 
@@ -67,28 +68,33 @@ class TestConfig:
 class TestOracle:
     def test_two_uniforms(self):
         m1, m2 = oracle_conditional_means_2grade(BetaParams(1, 1), BetaParams(1, 1))
-        assert m1 == pytest.approx(1.0 / 3.0, abs=1e-4)
-        assert m2 == pytest.approx(2.0 / 3.0, abs=1e-4)
+        assert m1 == pytest.approx(1.0 / 3.0, rel=1e-13)
+        assert m2 == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_order_statistics_closed_form(self):
         # for F(x) = x^2: E[min] = 8/15, E[max] = 4/5
         m1, m2 = oracle_conditional_means_2grade(BetaParams(2, 1), BetaParams(2, 1))
-        assert m1 == pytest.approx(8.0 / 15.0, abs=1e-4)
-        assert m2 == pytest.approx(0.8, abs=1e-4)
+        assert m1 == pytest.approx(8.0 / 15.0, rel=1e-13)
+        assert m2 == pytest.approx(0.8, rel=1e-13)
 
-    def test_grid_refinement_stable(self):
-        coarse = oracle_conditional_means_2grade(BetaParams(61, 1411), BetaParams(26, 1201), 4000)
-        fine = oracle_conditional_means_2grade(BetaParams(61, 1411), BetaParams(26, 1201), 8000)
-        assert coarse[0] == pytest.approx(fine[0], abs=1e-5)
-        assert coarse[1] == pytest.approx(fine[1], abs=1e-5)
-
-    def test_grid_precondition(self):
-        with pytest.raises(ValueError):
-            oracle_conditional_means_2grade(BetaParams(1, 1), BetaParams(1, 1), grid=100)
+    # the 2016 fixture's A/BBB and AAA/AA pairs, a pair already in order and a
+    # far-inverted one
+    @pytest.mark.parametrize("b,c", [(935, 1815), (15, 154), (10, 3), (50, 5000)])
+    def test_zero_default_pair_closed_form(self, b, c):
+        # Beta(1, b) below Beta(1, c): the lower grade is exactly Beta(1, b + c)
+        m1, m2 = oracle_conditional_means_2grade(BetaParams(1, b), BetaParams(1, c))
+        assert m1 == pytest.approx(1.0 / (b + c + 1), rel=1e-13)
+        assert m2 == pytest.approx((b + c) / b * (1.0 / (c + 1) - c / ((b + c) * (b + c + 1))),
+                                   rel=1e-13)
 
     def test_needs_bounded_density(self):
         with pytest.raises(ValueError, match=">= 1"):
             oracle_conditional_means_2grade(BetaParams(0.5, 2), BetaParams(1, 1))
+
+    def test_refuses_a_vanishing_acceptance(self):
+        # P(theta_1 <= theta_2) is about 9e-145 here; the cells miss the overlap
+        with pytest.raises(ValueError, match=r"Beta\(639, 6850\) below Beta\(352, 20516\)"):
+            oracle_conditional_means_2grade(BetaParams(639, 6850), BetaParams(352, 20516))
 
 
 class TestFilteredPair:
@@ -136,8 +142,7 @@ class TestRunSweep:
         cfg = CalibrationConfig(n_sim=100_000, k_reps=1, seed=3)
         sweep = run_sweep(portfolio(p1, p2), cfg, rng_stream(3, 0))
         o1, o2 = oracle_conditional_means_2grade(p1, p2)
-        u1, _ = beta_mean_var(p1)
-        u2, _ = beta_mean_var(p2)
+        u1, u2 = (p.alpha / (p.alpha + p.beta) for p in (p1, p2))
         for got, want in ((sweep.means[0], o1), (sweep.means[1], o2)):
             assert got == pytest.approx(want, rel=0.02)
         assert abs(sweep.means[0] - u1) / u1 < 0.25
@@ -184,7 +189,7 @@ class TestRunSweep:
         sweep = run_sweep(portfolio(*params), cfg, rng_stream(6, 0))
         assert sweep.passes == 1
         for got, p in zip(sweep.means, params):
-            mean, _ = beta_mean_var(p)
+            mean = p.alpha / (p.alpha + p.beta)
             assert abs(got - mean) / mean < 0.01
 
     def test_draw_counts_match_the_sampler_calls(self, monkeypatch):

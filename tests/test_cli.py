@@ -478,22 +478,24 @@ class TestBadInputCells:
 
 
 class TestImportFootprint:
-    """Only `calibrate` draws random numbers, so only it loads the sampler and the pool."""
+    """Only `calibrate` draws random numbers, so only it loads the sampler and the pool;
+    only the test oracle's quadrature loads `numpy.polynomial`."""
 
     @staticmethod
     def modules_loaded(code: str) -> list[bool]:
         src = str(Path(pdcalib.__file__).resolve().parents[1])
         probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
-                 "print([m in sys.modules for m in ('numpy.random', 'concurrent.futures')])")
+                 "print([m in sys.modules for m in "
+                 "('numpy.random', 'concurrent.futures', 'numpy.polynomial')])")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         return json.loads(done.stdout.splitlines()[-1].lower())
 
     def test_importing_the_cli_loads_neither(self):
-        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False, False]
+        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False, False, False]
 
     def test_calibrate_loads_both(self, tame_csv, tmp_path):
         argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
                 "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "out")]
         code = f"from pdcalib.cli import main\nassert main({argv!r}) == 0"
-        assert self.modules_loaded(code) == [True, True]
+        assert self.modules_loaded(code) == [True, True, False]

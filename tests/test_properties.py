@@ -13,8 +13,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from pdcalib.benchmarks import (central_tendency, parse_external_csv,  # noqa: E402
                                 pluto_tasche, scale_to_ct)
 from pdcalib.betareg import parse_history_csv  # noqa: E402
+from pdcalib.calibrator import oracle_conditional_means_2grade  # noqa: E402
 from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount,  # noqa: E402
                              parse_cohort_csv)
+from pdcalib.statdist import BetaParams  # noqa: E402
 
 
 @st.composite
@@ -61,6 +63,39 @@ def test_scale_to_ct_ignores_rescaling_and_hits_ct(snapshot, c, data):
     assert scale_to_ct([c * pd for pd in pds], snapshot) == pytest.approx(scaled, rel=1e-12)
     weighted_mean = sum(w * pd for w, pd in zip(weights, scaled)) / sum(weights)
     assert weighted_mean == pytest.approx(central_tendency(snapshot), rel=1e-12)
+
+
+@st.composite
+def posteriors(draw):
+    """Beta(1 + d, 1 + n - d) of a grade with 0-1e6 obligors and 0..n defaults."""
+    n = draw(st.integers(0, 1_000_000))
+    d = draw(st.integers(0, n))
+    return BetaParams(1.0 + d, 1.0 + n - d)
+
+
+def scipy_conditional_means(p1, p2):
+    """The oracle's integrals on scipy's beta kernels: 801 z per grade, 16 nodes a cell."""
+    z = np.linspace(-40.0, 40.0, 801)
+    logits = [np.log(p.alpha / p.beta) + z * np.sqrt(1.0 / p.alpha + 1.0 / p.beta)
+              for p in (p1, p2)]
+    edges = np.unique(np.concatenate([[0.0, 1.0], 1.0 / (1.0 + np.exp(-np.concatenate(logits)))]))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    w = (half * weights).ravel()
+    lower = w * stats.beta.pdf(t, p1.alpha, p1.beta) * stats.beta.sf(t, p2.alpha, p2.beta)
+    upper = w * stats.beta.pdf(t, p2.alpha, p2.beta) * stats.beta.cdf(t, p1.alpha, p1.beta)
+    return t @ lower / lower.sum(), t @ upper / upper.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(posteriors(), posteriors())
+def test_oracle_matches_scipy_quadrature(p1, p2):
+    try:
+        got = oracle_conditional_means_2grade(p1, p2)
+    except ValueError:
+        assume(False)  # acceptance below the oracle's 1e-8 floor
+    assert got == pytest.approx(scipy_conditional_means(p1, p2), rel=1e-12)
 
 
 FILLERS = st.lists(st.sampled_from(["", "   ", "# comment", "#a,b,c"]), max_size=2)

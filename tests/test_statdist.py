@@ -6,7 +6,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from pdcalib import statdist
 from pdcalib.statdist import (BetaParams, BracketError, ConvergenceError, _beta_cont_frac,
-                              beta_cdf, beta_mean_var, binomial_tail_le, log_beta,
+                              beta_cdf, binomial_tail_le, log_beta,
                               rng_stream, sample_beta, solve_monotone)
 
 
@@ -20,21 +20,6 @@ class TestBetaParams:
     def test_rejects_bad_shapes(self, alpha, beta):
         with pytest.raises(ValueError):
             BetaParams(alpha, beta)
-
-
-class TestBetaMeanVar:
-    def test_uniform(self):
-        assert beta_mean_var(BetaParams(1, 1)) == pytest.approx((0.5, 1.0 / 12.0), rel=1e-14)
-
-    def test_simple_arithmetic(self):
-        mean, var = beta_mean_var(BetaParams(3, 12))
-        assert mean == pytest.approx(0.2, rel=1e-14)
-        assert var == pytest.approx(0.01, rel=1e-14)
-
-    def test_heavy_cohort(self):
-        mean, var = beta_mean_var(BetaParams(61, 1411))
-        assert mean == pytest.approx(0.041440, abs=1e-6)
-        assert var == pytest.approx(2.6968e-5, rel=1e-4)
 
 
 class TestRngStream:
@@ -89,7 +74,8 @@ class TestSampleBeta:
     # empty-cohort prior, zero-default grade, fixture grade, prudent-report scale
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 1815), (61, 1411), (50001, 950001)])
     def test_heavy_cohort_mean(self, alpha, beta):
-        mean, var = beta_mean_var(BetaParams(alpha, beta))
+        mean = alpha / (alpha + beta)
+        var = mean * (1.0 - mean) / (alpha + beta + 1.0)
         draws = sample_beta(BetaParams(alpha, beta), rng_stream(42, 1), size=1_000_000)
         se = math.sqrt(var / 1_000_000)
         assert abs(draws.mean() - mean) < 4.0 * se
