@@ -17,13 +17,12 @@ from .cohorts import (CohortSnapshot, GradeCount, compute_posterior, observed_de
                       parse_cohort_csv)
 from .benchmarks import build_comparison, central_tendency, pluto_tasche, scale_to_ct
 from .betareg import RegressionModel, fit, predict_mean
-from .statdist import (BetaParams, beta_cdf, binomial_tail_le, rng_stream, sample_beta,
-                       solve_monotone)
+from .statdist import BetaParams, binomial_tail_le, rng_stream, sample_beta, solve_monotone
 
 __all__ = [
     "__version__",
     "BetaParams", "rng_stream", "sample_beta",
-    "beta_cdf", "binomial_tail_le", "solve_monotone",
+    "binomial_tail_le", "solve_monotone",
     "GradeCount", "CohortSnapshot", "parse_cohort_csv", "observed_default_rates",
     "compute_posterior",
     "CalibrationConfig", "SweepResult", "CalibrationResult",

@@ -133,31 +133,21 @@ def _regressors(y) -> np.ndarray:
     return y
 
 
-def _read_numbers(source, header, label) -> tuple[list[str], list[tuple[float, ...]]]:
-    """``label`` of each row's first cell, and the numbers in its other cells."""
-    labels: list[str] = []
-
-    def convert(cells: list[str]) -> tuple[float, ...]:
-        labels.append(label(cells[0]))
-        return finite_row(cells[1:])
-
-    return labels, read_rows(source, header, convert)
-
-
-def parse_history_csv(source) -> tuple[list[str], np.ndarray, np.ndarray]:
+def parse_history_csv(source) -> tuple[np.ndarray, np.ndarray]:
     """Read fitting history from `period,mu,y1,...,yk` rows.
 
-    Returns (period labels, n x k regressor array, n means).  ``k`` may be
-    zero (an intercept-only model).  Every number must be finite.
+    Returns (n x k regressor array, n means); the periods only label the
+    rows.  ``k`` may be zero (an intercept-only model).  Every number must
+    be finite.
     """
     def header(width: int) -> tuple[str, ...]:
         return ("period", "mu", *(f"y{i}" for i in range(1, width - 1)))
 
-    periods, rows = _read_numbers(source, header, str)
+    rows = read_rows(source, header, lambda cells: finite_row(cells[1:]))
     if not rows:
         raise CohortError("history has no data rows")
     table = np.array(rows)
-    return periods, table[:, 1:], table[:, 0]
+    return table[:, 1:], table[:, 0]
 
 
 def parse_newdata_csv(source, k: int) -> tuple[list[str], np.ndarray]:
@@ -167,5 +157,7 @@ def parse_newdata_csv(source, k: int) -> tuple[list[str], np.ndarray]:
     period is written into predictions.csv, so it must need no CSV quoting.
     """
     header = ("period", *(f"y{i}" for i in range(1, k + 1)))
-    periods, rows = _read_numbers(source, header, lambda cell: bare_cell(cell, "period"))
-    return periods, np.array(rows, dtype=np.float64).reshape(len(rows), k)
+    rows = read_rows(source, header,
+                     lambda cells: (bare_cell(cells[0], "period"), finite_row(cells[1:])))
+    return ([period for period, _ in rows],
+            np.array([y for _, y in rows], dtype=np.float64).reshape(len(rows), k))

@@ -302,8 +302,8 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     int t f_2 F_1 / int f_2 F_1.  Cells span 0, 1 and, per grade Beta(a, b),
     inv_logit(log(a/b) + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], with 8
     nodes each.  F_1 and 1 - F_2 at a node add the cells on its side to a rule
-    on the rest of its cell, so no complement loses digits and ``beta_cdf``,
-    imprecise near x = 1, is not needed.  Needs every shape >= 1 and an
+    on the rest of its cell, so no complement loses digits and no incomplete
+    beta, imprecise near x = 1, is needed.  Needs every shape >= 1 and an
     acceptance P(theta_1 <= theta_2) of at least 1e-8, or raises ValueError.
     """
     if min(p1.alpha, p1.beta, p2.alpha, p2.beta) < 1.0:

@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -76,8 +77,15 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
 
+def _numbered(prefix: str, values) -> dict:
+    """``values`` keyed ``<prefix>1``, ``<prefix>2``, ... in order."""
+    return {f"{prefix}{i}": value for i, value in enumerate(values, start=1)}
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     cfg = CalibrationConfig(n_sim=args.n_sim, k_reps=args.k_reps, seed=args.seed, ci_level=args.ci)
     result = calibrate(compute_posterior(snapshot), cfg, workers=args.threads)
@@ -99,14 +107,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                          for lo, hi, count in zip(edges, edges[1:], counts)]
             files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"), hist_rows)
 
-    manifest = envelope("calibrate", started, input=args.input)
-    manifest.update({
+    # Monte-Carlo standard error of each reported mean; one repetition has none
+    mc_se = ((result.sweep_means.std(axis=0, ddof=1) / math.sqrt(cfg.k_reps)).tolist()
+             if cfg.k_reps > 1 else [None] * len(snapshot.grades))
+    manifest = envelope("calibrate", started, input=args.input) | {
         "period": snapshot.period,
         "n_grades": len(snapshot.grades),
-        "n_sim": cfg.n_sim,
-        "k_reps": cfg.k_reps,
-        "seed": cfg.seed,
-        "ci_level": cfg.ci_level,
+        **asdict(cfg),
         "min_accepted": _MIN_ACCEPTED,
         "max_resample_rounds": _MAX_RESAMPLE_ROUNDS,
         "max_passes": _MAX_PASSES,
@@ -118,14 +125,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "draws_total": result.draws_total,
         "topup_blocks_total": result.topup_blocks_total,
         "warnings": "; ".join(warnings),
-    })
-    for i, rate in enumerate(result.pair_acceptance, start=1):
-        manifest[f"acceptance_rate_pair_{i}"] = rate
-    # Monte-Carlo standard error of each reported mean; one repetition has none
-    spread = result.sweep_means.std(axis=0, ddof=1) if cfg.k_reps > 1 else None
-    for i in range(len(snapshot.grades)):
-        manifest[f"mc_se_grade_{i + 1}"] = (
-            None if spread is None else float(spread[i]) / math.sqrt(cfg.k_reps))
+        **_numbered("acceptance_rate_pair_", result.pair_acceptance),
+        **_numbered("mc_se_grade_", mc_se),
+    }
     write_outputs(args.out, files, manifest)
     # histograms of an earlier run into this directory no longer match its manifest
     for stale in Path(args.out).glob("hist_*.csv"):
@@ -163,8 +165,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for i, g in enumerate(snapshot.grades)]
 
     manifest = envelope("compare", started, input=args.input, calibration=args.calibration,
-                        external=args.external)
-    manifest.update({
+                        external=args.external) | {
         "period": snapshot.period,
         "pt_confidence": args.pt_confidence,
         "pt_enforce_monotone": True,
@@ -172,7 +173,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "total_performing": snapshot.total_performing,
         "total_defaults": snapshot.total_defaults,
         "methods": ",".join(methods),
-    })
+    }
     write_outputs(args.out, {"comparison.csv": csv_text(header, rows)}, manifest)
 
     if args.pretty:
@@ -186,7 +187,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    _, y_history, mu_history = parse_history_csv(args.history)
+    y_history, mu_history = parse_history_csv(args.history)
     model = fit_regression(y_history, mu_history)
     periods, y_new = parse_newdata_csv(args.newdata, len(model.coefficients))
 
@@ -195,18 +196,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "intercept": model.intercept,
         "link": LINK,
         "precision": model.precision,
+        **_numbered("coefficient_", model.coefficients),
     }
-    for i, coefficient in enumerate(model.coefficients, start=1):
-        model_doc[f"coefficient_{i}"] = coefficient
     rows = [[period, _fmt(mu)] for period, mu in zip(periods, predict_mean(model, y_new))]
 
-    manifest = envelope("predict", started, history=args.history, newdata=args.newdata)
-    manifest.update({
+    manifest = envelope("predict", started, history=args.history, newdata=args.newdata) | {
         "n_observations": len(mu_history),
         "n_regressors": len(model.coefficients),
         "n_predictions": len(rows),
         "link": LINK,
-    })
+    }
     write_outputs(args.out, {"model.json": json_text(model_doc),
                              "predictions.csv": csv_text(("period", "mu"), rows)}, manifest)
 
@@ -226,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="calibrate one period's PDs")
     cal.add_argument("--input", required=True, type=Path, help="cohort CSV")
     cal.add_argument("--period", required=True, help="period label to calibrate")
-    cal.add_argument("--n-sim", dest="n_sim", type=int, default=100_000)
-    cal.add_argument("--k-reps", dest="k_reps", type=int, default=300)
-    cal.add_argument("--seed", type=int, default=42)
-    cal.add_argument("--ci", type=float, default=0.90)
+    cal.add_argument("--n-sim", dest="n_sim", type=int, default=CalibrationConfig.n_sim)
+    cal.add_argument("--k-reps", dest="k_reps", type=int, default=CalibrationConfig.k_reps)
+    cal.add_argument("--seed", type=int, default=CalibrationConfig.seed)
+    cal.add_argument("--ci", type=float, default=CalibrationConfig.ci_level)
     cal.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="threads running the repetitions (affects speed only)")
     cal.add_argument("--out", required=True, help="output directory")

@@ -12,8 +12,8 @@ incomplete-beta identity, and a safeguarded Newton root finder for
 monotone targets that falls back to bisection.  Iterative kernels
 converge or raise ConvergenceError; they never return a truncated result.
 
-``log_beta``, ``beta_cdf``, ``binomial_tail_le`` and ``solve_monotone``
-work elementwise on scalars or numpy arrays, so one call serves a whole
+``log_beta``, ``binomial_tail_le`` and ``solve_monotone`` work
+elementwise on scalars or numpy arrays, so one call serves a whole
 portfolio; ``sample_beta`` returns an array of draws.  ``log_beta`` also
 normalises the densities of the calibrator's quadrature oracle.  The continued
 fraction takes x itself, so near x = 1 it is good to only about alpha * 5e-17
@@ -34,7 +34,6 @@ __all__ = [
     "ConvergenceError",
     "sample_beta",
     "log_beta",
-    "beta_cdf",
     "binomial_tail_le",
     "solve_monotone",
 ]
@@ -97,10 +96,8 @@ def sample_beta(p: BetaParams, rng: np.random.Generator, size: int) -> np.ndarra
     """``size`` Beta(alpha, beta) variates from ``rng``.
 
     Values are clipped into the open interval in the rare event a draw
-    rounds to 0 or 1.
+    rounds to 0 or 1.  A negative ``size`` raises numpy's ValueError.
     """
-    if size < 0:
-        raise ValueError("size must be nonnegative")
     out = rng.beta(p.alpha, p.beta, size)
     np.clip(out, 5e-324, 1.0 - 2.0 ** -53, out=out)
     return out
@@ -214,24 +211,6 @@ def _inc_beta(x, y, a, b) -> np.ndarray:
     direct = x < (a + 1.0) / (a + b + 2.0)
     frac = _beta_cont_frac(np.where(direct, a, b), np.where(direct, b, a), np.where(direct, x, y))
     return np.clip(np.where(direct, front / a * frac, 1.0 - front / b * frac), 0.0, 1.0)
-
-
-def beta_cdf(x, p: BetaParams):
-    """Regularized incomplete beta I_x(alpha, beta) for x in [0, 1].
-
-    Continued-fraction evaluation with the symmetry switch at
-    x = (alpha + 1) / (alpha + beta + 2); accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("beta_cdf argument must lie in [0, 1]")
-    out = np.zeros_like(arr)
-    out[arr >= 1.0] = 1.0
-    interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(interior):
-        xi = arr[interior]
-        out[interior] = _inc_beta(xi, 1.0 - xi, p.alpha, p.beta)
-    return out if out.ndim else float(out)
 
 
 def binomial_tail_le(n, d, theta):

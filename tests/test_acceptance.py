@@ -7,6 +7,7 @@ shared.  Expected wall time for the whole module: a few minutes on a
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -94,9 +95,8 @@ def test_05_most_prudent_benchmark(snapshot_2016):
 
 def test_06_two_grade_oracle_equivalence():
     # single-pair sweeps against the independent quadrature of the
-    # order-constrained marginal means, within 3 MC standard errors: ten
-    # random cohort pairs, then the 2016 fixture's zero-default pairs
-    # A/BBB, BBB/BB and AAA/AA
+    # order-constrained marginal means: ten random cohort pairs, then the
+    # 2016 fixture's zero-default pairs A/BBB, BBB/BB and AAA/AA
     rng = np.random.default_rng(606)
     pairs = []
     for _ in range(10):
@@ -107,6 +107,11 @@ def test_06_two_grade_oracle_equivalence():
         pairs.append((BetaParams(1.0 + d1, 1.0 + n1 - d1), BetaParams(1.0 + d2, 1.0 + n2 - d2)))
     pairs += [(BetaParams(1, 935), BetaParams(1, 1815)), (BetaParams(1, 1815), BetaParams(61, 1411)),
               (BetaParams(1, 15), BetaParams(1, 154))]
+    # The whole family of z-values (two per pair) may raise a false alarm as
+    # often as one 3-SE check does, 0.27%; Bonferroni splits that rate evenly,
+    # so each value is held to 3.88 SE.
+    family_rate = 2.0 * NormalDist().cdf(-3.0)
+    bound = NormalDist().inv_cdf(1.0 - family_rate / (2.0 * 2 * len(pairs)))
     worst = 0.0
     for trial, (p1, p2) in enumerate(pairs):
         cfg = CalibrationConfig(n_sim=100_000, k_reps=1, seed=7000 + trial)
@@ -117,8 +122,9 @@ def test_06_two_grade_oracle_equivalence():
             mean = params.alpha / (params.alpha + params.beta)
             se = math.sqrt(mean * (1.0 - mean) / (params.alpha + params.beta + 1.0) / kept)
             worst = max(worst, abs(got - want) / se)
-            assert abs(got - want) <= 3.0 * se, (trial, got, want, se)
-    report("06 oracle-equivalence-13-pairs", worst <= 3.0, f"worst |dev|/SE={worst:.2f}")
+            assert abs(got - want) <= bound * se, (trial, got, want, se)
+    report("06 oracle-equivalence-13-pairs", worst <= bound,
+           f"worst |dev|/SE={worst:.2f}, bound {bound:.2f}")
 
 
 def test_07_monotonicity_on_random_portfolios():

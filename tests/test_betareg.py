@@ -119,14 +119,13 @@ class TestFit:
 
 class TestHistoryCsv:
     def test_parse(self):
-        periods, y, mu = parse_history_csv(io.StringIO(
+        y, mu = parse_history_csv(io.StringIO(
             "period,mu,y1,y2\n2016,0.1077,0.0,1.0\n2017,0.0847,1.0,-0.5\n"))
-        assert periods == ["2016", "2017"]
         assert y.tolist() == [[0.0, 1.0], [1.0, -0.5]]
         assert mu.tolist() == [0.1077, 0.0847]
 
     def test_intercept_only_history(self):
-        _, y, mu = parse_history_csv(io.StringIO("period,mu\n2016,0.5\n"))
+        y, mu = parse_history_csv(io.StringIO("period,mu\n2016,0.5\n"))
         assert y.shape == (1, 0)
         assert mu.tolist() == [0.5]
 

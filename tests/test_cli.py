@@ -149,7 +149,12 @@ class TestCalibrateCommand:
 
     def test_no_threads_exits_2(self, tame_csv, tmp_path, capsys):
         assert run_calibrate(tame_csv, tmp_path / "out", threads=0) == 2
-        assert "max_workers" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --threads must be at least 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_threads_exit_2_before_the_input_is_read(self, tmp_path, capsys):
+        assert run_calibrate(tmp_path / "missing.csv", tmp_path / "out", threads=-1) == 2
+        assert capsys.readouterr().err == "error: --threads must be at least 1, got -1\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k_reps", [5, 1])
@@ -499,3 +504,37 @@ class TestImportFootprint:
                 "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "out")]
         code = f"from pdcalib.cli import main\nassert main({argv!r}) == 0"
         assert self.modules_loaded(code) == [True, True, False]
+
+
+def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
+    # `perfbench/run.py --trace 1` wraps pdcalib functions by the names it
+    # looks up; a rename or deletion that breaks those hooks fails here too
+    pytest.importorskip("scipy")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run  # perfbench/run.py, itself rather than a copy
+
+    tracer = run.Tracer()
+    run.install(tracer, run.Plan(ops=[]))
+    try:
+        # one thread: the tracer keeps one stack of open spans
+        cal = ["calibrate", "--input", str(fixture_csv), "--period", "2017", "--n-sim", "2000",
+               "--k-reps", "2", "--threads", "1", "--emit-histograms", "--out", str(tmp_path / "c")]
+        assert main(cal) == 0
+        external = tmp_path / "external.csv"
+        external.write_text("grade_order,method_name,pd\n"
+                            + "".join(f"{i},ext,0.0{i}\n" for i in range(1, 9)), encoding="utf-8")
+        assert main(["compare", "--input", str(fixture_csv), "--period", "2017",
+                     "--calibration", str(tmp_path / "c" / "calibration.csv"),
+                     "--external", str(external), "--out", str(tmp_path / "m")]) == 0
+        history = tmp_path / "history.csv"
+        history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
+        newdata = tmp_path / "newdata.csv"
+        newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
+        assert main(["predict", "--history", str(history), "--newdata", str(newdata),
+                     "--out", str(tmp_path / "p")]) == 0
+    finally:
+        tracer.uninstall()
+    sweeps = [s for s in tracer.spans if s.name == "calibrator.run_sweep"]
+    assert len(sweeps) == 2 and all(s.attrs["pairs"] == 7 for s in sweeps)
+    metrics = run.layer_metrics(tracer.spans, run.self_times(tracer.spans), 0, len(tracer.spans))
+    assert metrics["statdist.draws"] > 0 and metrics["betareg.fit_s"] > 0.0
