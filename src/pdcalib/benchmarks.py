@@ -57,27 +57,35 @@ def pluto_tasche(snapshot: CohortSnapshot, confidence: float = 0.75) -> list[flo
     quantile of Beta(D_i + 1, N_i - D_i).  When the pooled defaults equal
     the pooled cohort the bound is 1.  All other grades are solved together
     by one safeguarded Newton iteration on the binomial tail, whose
-    derivative in theta is minus that beta density; each grade starts at
-    the beta mean and stops on a relative step of 1e-12.  A running
-    maximum is then applied from best to worst grade.
+    derivative in theta is minus that beta density; each grade starts at its
+    Cornish-Fisher (skew-corrected normal) quantile and stops on a relative
+    step of 1e-12.  A running maximum is then applied from best to worst grade.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    from statistics import NormalDist
+
     grades = snapshot.grades[::-1]
     n_pool = np.cumsum([g.performing_start for g in grades])[::-1]
     d_pool = np.cumsum([g.defaults_end for g in grades])[::-1]
     solved = (n_pool > 0) & (d_pool < n_pool)
     n, d = n_pool[solved], d_pool[solved]
-    log_norm = log_beta(d + 1.0, n - d)
+    a, b, s = d + 1.0, n - d, n + 1.0
+    log_norm = log_beta(a, b)
 
     def tail_slope(theta):
         # d/dtheta P(X <= d | n, theta) = -(Beta(d + 1, n - d) density at theta)
         return -np.exp(d * np.log(theta) + (n - d - 1) * np.log1p(-theta) - log_norm)
 
+    # Cornish-Fisher start: mean + sd (z + skew (z^2 - 1) / 6)
+    z = NormalDist().inv_cdf(confidence)
+    sd = np.sqrt(a * b / (s * s * (s + 1.0)))
+    skew = 2.0 * (b - a) * np.sqrt(s + 1.0) / ((s + 2.0) * np.sqrt(a * b))
+    x0 = np.clip(a / s + sd * (z + skew * (z * z - 1.0) / 6.0), _THETA_LO, _THETA_HI)
     pds = np.ones(len(n_pool))
     pds[solved] = solve_monotone(
         lambda theta: binomial_tail_le(n, d, theta), 1.0 - confidence,
-        _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=(d + 1.0) / (n + 1.0))
+        _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=x0)
     return np.maximum.accumulate(pds).tolist()
 
 

@@ -16,8 +16,11 @@ converge or raise ConvergenceError; they never return a truncated result.
 elementwise on scalars or numpy arrays, so one call serves a whole
 portfolio; ``sample_beta`` returns an array of draws.  ``log_beta`` also
 normalises the densities of the calibrator's quadrature oracle.  The continued
-fraction takes x itself, so near x = 1 it is good to only about alpha * 5e-17
-relative (5e-11 for Beta(1e6, 1)), which is why that oracle does not use it.
+fraction runs per element in plain floats, since numpy's call overhead on each
+of its hundreds of terms would outweigh the arithmetic on a portfolio's few
+dozen elements.  It takes x itself, so near x = 1 it is good to only about
+alpha * 5e-17 relative (5e-11 for Beta(1e6, 1)), which is why that oracle
+does not use it.
 """
 
 from __future__ import annotations
@@ -135,65 +138,48 @@ def log_beta(a, b):
                     np.where(p < 10.0, one_large, both_large))
 
 
-def _cont_frac_budget(a: np.ndarray, b: np.ndarray) -> int:
-    """Iteration budget of the continued fraction for shapes ``a``, ``b``.
+def _cont_frac_budget(a: float, b: float) -> int:
+    """Iteration budget of the continued fraction for one element's shapes.
 
     The modified Lentz evaluation needs O(sqrt(max(a, b))) terms (Numerical
     Recipes, section 6.4).  Measured worst cases, just below the symmetry
     switch, took 0.5 to 1.8 sqrt(min(a, b)) terms: 518 at a = b = 1e6 and
     1,583 at (1e8, 1e7), against budgets of 2,200 and 20,200.
     """
-    return 200 + int(2.0 * math.sqrt(float(np.max(np.maximum(a, b), initial=0.0))))
+    return 200 + int(2.0 * math.sqrt(max(a, b)))
 
 
-def _away_from_zero(v: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(v) < 1e-300, 1e-300, v)
+def _cont_frac_one(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz) at one point.
 
-
-def _beta_cont_frac(a, b, x) -> np.ndarray:
-    """Continued fraction for the incomplete beta (modified Lentz), elementwise.
-
-    ``a``, ``b`` and ``x`` broadcast together.  An element stops updating
-    once its odd step lies within 3e-16 of 1, and the loop ends when every
-    element has stopped.  Raises ConvergenceError when the iteration budget
-    scaled to the shapes runs out first.
+    A plain-float loop that stops once its odd step lies within 3e-16 of 1,
+    and raises ConvergenceError naming its shapes when the budget scaled to
+    them runs out first.  ``_beta_cont_frac`` maps it over broadcast arrays.
     """
-    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, b, x)))
-    shape = x.shape
     max_iter = _cont_frac_budget(a, b)
-    out = np.empty(x.size)
-    active = np.arange(x.size)
-    a, b, x = a.ravel(), b.ravel(), x.ravel()
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
-    h = d.copy()
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    # every divisor is moved to 1e-300 when it lies closer to zero than that
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (1e-300 if abs(d) < 1e-300 else d)
+    c, h = 1.0, d
     for m in range(1, max_iter + 1):
-        if not active.size:
-            break
         m2 = 2 * m
-        numer = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _away_from_zero(1.0 + numer * d)
-        c = _away_from_zero(1.0 + numer / c)
-        h *= d * c
-        numer = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _away_from_zero(1.0 + numer * d)
-        c = _away_from_zero(1.0 + numer / c)
-        step = d * c
-        h *= step
-        converged = np.abs(step - 1.0) < 3e-16
-        if converged.any():
-            out[active[converged]] = h[converged]
-            keep = ~converged
-            active, a, b, x, qab, qap, qam, c, d, h = (
-                v[keep] for v in (active, a, b, x, qab, qap, qam, c, d, h))
-    if active.size:
-        raise ConvergenceError(
-            f"incomplete-beta continued fraction did not converge in {max_iter} iterations "
-            f"for {active.size} of {out.size} elements, e.g. a={a[0]:g}, b={b[0]:g}, x={x[0]:g}")
-    return out.reshape(shape)
+        for numer in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + numer * d
+            d = 1.0 / (1e-300 if abs(d) < 1e-300 else d)
+            c = 1.0 + numer / c
+            c = 1e-300 if abs(c) < 1e-300 else c
+            step = d * c
+            h *= step
+        if abs(step - 1.0) < 3e-16:
+            return h
+    raise ConvergenceError(
+        f"incomplete-beta continued fraction did not converge in {max_iter} iterations "
+        f"for a={a:g}, b={b:g}, x={x:g}")
+
+
+_beta_cont_frac = np.vectorize(_cont_frac_one, otypes=[np.float64])
 
 
 def _inc_beta(x, y, a, b) -> np.ndarray:

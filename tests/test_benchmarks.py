@@ -82,13 +82,19 @@ class TestPlutoTasche:
     def test_all_defaults_bound_is_one(self):
         assert raw_bound(snap([(1, "A", 10, 1), (2, "B", 5, 5)]), 1) == 1.0
 
-    def test_matches_scipy_beta_quantile(self):
-        stats = pytest.importorskip("scipy.stats")
+    @staticmethod
+    def large_portfolio():
+        """20 grades of 1e5-1e6 obligors with 0.05-5% defaults: (n, d, snapshot)."""
         rng = np.random.default_rng(2005)
         n = rng.integers(100_000, 1_000_001, 20)
         d = (n * rng.uniform(0.0005, 0.05, 20)).astype(np.int64)
         rows = [(i + 1, f"g{i + 1}", int(a), int(b)) for i, (a, b) in enumerate(zip(n, d))]
-        pds = pluto_tasche(snap(rows))
+        return n, d, snap(rows)
+
+    def test_matches_scipy_beta_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        n, d, snapshot = self.large_portfolio()
+        pds = pluto_tasche(snapshot)
         pooled_n, pooled_d = np.cumsum(n[::-1])[::-1], np.cumsum(d[::-1])[::-1]
         want = stats.beta.ppf(0.75, pooled_d + 1, pooled_n - pooled_d)
         np.testing.assert_allclose(pds, np.maximum.accumulate(want), rtol=1e-9, atol=0.0)
@@ -118,6 +124,19 @@ class TestPlutoTasche:
         # a snapshot with no grade to solve still makes exactly one call
         assert pluto_tasche(snap([(1, "A", 0, 0), (2, "B", 5, 5)])) == [1.0, 1.0]
         assert len(calls) == 2
+
+    def test_newton_start_needs_at_most_four_tail_calls(self, monkeypatch):
+        # the two bracket ends, then two Newton steps from the Cornish-Fisher start
+        calls = []
+        tail = benchmarks.binomial_tail_le
+
+        def counted(*args):
+            calls.append(1)
+            return tail(*args)
+
+        monkeypatch.setattr(benchmarks, "binomial_tail_le", counted)
+        pluto_tasche(self.large_portfolio()[2])
+        assert len(calls) <= 4
 
 
 class TestScaleToCT:

@@ -31,7 +31,7 @@ def portfolios(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(portfolios(), st.floats(0.5, 0.99, exclude_min=True))
+@given(portfolios(), st.floats(0.5, 0.999, exclude_min=True))
 def test_pluto_tasche_on_random_portfolios(snapshot, confidence):
     floored = pluto_tasche(snapshot, confidence)
     assert all(a <= b for a, b in zip(floored, floored[1:]))

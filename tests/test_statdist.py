@@ -169,6 +169,20 @@ class TestContinuedFraction:
                                 np.array([0.05, 0.1, 0.4999]))
         assert np.array_equal(mixed[:2], fast)
 
+    def test_each_element_keeps_its_shape_and_its_own_failure(self, monkeypatch):
+        a = np.array([[3.0, 3.0], [40.0, 1e6]])
+        b = np.array([[12.0, 12.0], [7.0, 1e6]])
+        x = np.array([[0.05, 0.1], [0.7, 0.4999]])
+        got = _beta_cont_frac(a, b, x)
+        assert got.shape == (2, 2)
+        want = [_beta_cont_frac(*args) for args in zip(a.flat, b.flat, x.flat)]
+        assert np.array_equal(got.ravel(), want)
+        # only the large element's budget is too small; the error names that element
+        monkeypatch.setattr(statdist, "_cont_frac_budget", lambda a, b: 5 if b > 1e5 else 200)
+        with pytest.raises(ConvergenceError, match=r"did not converge in 5 iterations "
+                                                   r"for a=1e\+06, b=1e\+06, x=0\.4999"):
+            _beta_cont_frac(a, b, x)
+
 
 class TestBinomialTail:
     def test_full_support(self):
