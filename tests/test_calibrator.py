@@ -100,21 +100,30 @@ class TestOracle:
 class TestFilteredPair:
     @staticmethod
     def replay(lower, upper, n_sim, rng):
-        """The kept draws of one pair step, collected and concatenated."""
+        """The kept draws of one pair step, collected and concatenated: each
+        block of n_sim pairs in full chunks and a remainder, each chunk's
+        lower-grade draws before its upper-grade ones."""
+        chunk = calibrator._CHUNK
+        sizes = [chunk] * (n_sim // chunk) + ([n_sim % chunk] if n_sim % chunk else [])
         kept_x, kept_y = [], []
+        blocks = 0
         while sum(k.size for k in kept_x) < calibrator._MIN_ACCEPTED:
-            x = sample_beta(lower, rng, size=n_sim)
-            y = sample_beta(upper, rng, size=n_sim)
-            keep = x <= y
-            kept_x.append(x[keep])
-            kept_y.append(y[keep])
-        return np.concatenate(kept_x), np.concatenate(kept_y), n_sim * len(kept_x)
+            blocks += 1
+            for size in sizes:
+                x = sample_beta(lower, rng, size=size)
+                y = sample_beta(upper, rng, size=size)
+                keep = x <= y
+                kept_x.append(x[keep])
+                kept_y.append(y[keep])
+        return np.concatenate(kept_x), np.concatenate(kept_y), n_sim * blocks
 
     @pytest.mark.parametrize("lower,upper,n_sim,topup", [
         (BetaParams(5, 95), BetaParams(5, 95), 2000, False),
         (BetaParams(60, 940), BetaParams(40, 960), 1000, True),  # about 2% kept
         (BetaParams(50001, 950001), BetaParams(50001, 950001), 20_000, False),
-    ], ids=["one-block", "top-up", "tight-shapes"])
+        (BetaParams(5, 95), BetaParams(5, 95), 2 * calibrator._CHUNK + 1, False),
+        (BetaParams(145, 855), BetaParams(100, 900), 40_000, True),  # about 0.1% kept
+    ], ids=["one-block", "top-up", "tight-shapes", "chunked", "chunked-top-up"])
     def test_refit_from_sums_matches_kept_draws(self, lower, upper, n_sim, topup):
         cfg = CalibrationConfig(n_sim=n_sim, k_reps=1, seed=8)
         new_lower, new_upper, accepted, drawn = calibrator._filtered_pair(
@@ -193,7 +202,6 @@ class TestRunSweep:
             assert abs(got - mean) / mean < 0.01
 
     def test_draw_counts_match_the_sampler_calls(self, monkeypatch):
-        # pair 1 keeps about 2% of 1,000 pairs, so it needs top-up blocks
         sizes = []
 
         def counting(p, rng, size):
@@ -201,12 +209,21 @@ class TestRunSweep:
             return sample_beta(p, rng, size=size)
 
         monkeypatch.setattr(calibrator, "sample_beta", counting)
-        post = portfolio(BetaParams(60, 940), BetaParams(40, 960), BetaParams(9, 100))
-        cfg = CalibrationConfig(n_sim=1000, k_reps=1, seed=8)
-        sweep = run_sweep(post, cfg, rng_stream(8, 0))
-        assert sweep.draws_total == sum(sizes)
-        assert sweep.topup_blocks_total == len(sizes) // 2 - 2 * sweep.passes
-        assert sweep.topup_blocks_total > 0
+        for post, n_sim in [
+            # pair 1 keeps about 2% of 1,000 pairs, so it needs top-up blocks
+            (portfolio(BetaParams(60, 940), BetaParams(40, 960), BetaParams(9, 100)), 1000),
+            # about 0.1% of 40,000 pairs: blocks of two chunks, the second partial
+            (portfolio(BetaParams(145, 855), BetaParams(100, 900), BetaParams(30, 100)), 40_000),
+        ]:
+            sizes.clear()
+            cfg = CalibrationConfig(n_sim=n_sim, k_reps=1, seed=8)
+            sweep = run_sweep(post, cfg, rng_stream(8, 0))
+            calls_per_block = 2 * math.ceil(n_sim / calibrator._CHUNK)
+            assert max(sizes) == min(n_sim, calibrator._CHUNK)
+            assert sweep.draws_total == sum(sizes)
+            assert len(sizes) % calls_per_block == 0
+            assert sweep.topup_blocks_total == len(sizes) // calls_per_block - 2 * sweep.passes
+            assert sweep.topup_blocks_total > 0
 
     def test_insufficient_acceptance_fails_loudly(self):
         # hugely inverted, tight grades: the order constraint is never met
@@ -221,14 +238,16 @@ class TestCalibrate:
         return portfolio(BetaParams(4, 150), BetaParams(2, 200), BetaParams(9, 100))
 
     def test_deterministic_across_worker_counts(self):
-        cfg = CalibrationConfig(n_sim=2000, k_reps=6, seed=12)
-        serial = calibrate(self.make_post(), cfg, workers=1)
-        parallel = calibrate(self.make_post(), cfg, workers=2)
-        assert serial.grade_means == parallel.grade_means
-        assert serial.alpha_hat == parallel.alpha_hat
-        assert serial.beta_hat == parallel.beta_hat
-        assert np.array_equal(serial.sweep_means, parallel.sweep_means)
-        assert serial.pair_acceptance == parallel.pair_acceptance
+        # 40,000 pairs are drawn as a full chunk and a partial one
+        for n_sim in (2000, 40_000):
+            cfg = CalibrationConfig(n_sim=n_sim, k_reps=6, seed=12)
+            serial = calibrate(self.make_post(), cfg, workers=1)
+            parallel = calibrate(self.make_post(), cfg, workers=2)
+            assert serial.grade_means == parallel.grade_means
+            assert serial.alpha_hat == parallel.alpha_hat
+            assert serial.beta_hat == parallel.beta_hat
+            assert np.array_equal(serial.sweep_means, parallel.sweep_means)
+            assert serial.pair_acceptance == parallel.pair_acceptance
 
     def test_draws_happen_in_this_process(self, monkeypatch):
         # a wrapper on the module global sees every draw at any worker count
@@ -266,6 +285,18 @@ class TestCalibrate:
         for lo, med, hi in zip(res.ci_lower, res.grade_medians, res.ci_upper):
             assert lo <= med <= hi
         assert all(a <= b for a, b in zip(res.grade_means, res.grade_means[1:]))
+
+    @pytest.mark.parametrize("k_reps", [*range(1, 13), 300])
+    def test_median_and_ci_match_numpy(self, k_reps):
+        post = portfolio(BetaParams(3, 97), BetaParams(5, 95))
+        for ci_level in (0.5, 0.8, 0.9, 0.95, 0.99):
+            res = calibrate(post, CalibrationConfig(n_sim=1000, k_reps=k_reps, seed=k_reps,
+                                                    ci_level=ci_level))
+            tail = (1.0 - ci_level) / 2.0
+            for got, want in ((res.grade_medians, np.median(res.sweep_means, axis=0)),
+                              (res.ci_lower, np.quantile(res.sweep_means, tail, axis=0)),
+                              (res.ci_upper, np.quantile(res.sweep_means, 1.0 - tail, axis=0))):
+                assert got == tuple(float(v) for v in want)
 
     def test_error_annotated_with_repetition(self):
         post = portfolio(BetaParams(5001, 5001), BetaParams(1, 10001))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -83,12 +84,17 @@ class TestCalibrateCommand:
             return statdist.sample_beta(p, rng, size=size)
 
         monkeypatch.setattr(calibrator, "sample_beta", counting)
-        out = tmp_path / "out"
-        assert run_calibrate(tame_csv, out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["draws_total"] == sum(sizes) > 0
-        pair_steps = 2 * sum(int(p) * n for p, n in manifest["passes_histogram"].items())
-        assert manifest["topup_blocks_total"] == len(sizes) // 2 - pair_steps
+        # 40,000 pairs are drawn as a full chunk and a partial one
+        for n_sim in (1000, 40_000):
+            sizes.clear()
+            out = tmp_path / f"out{n_sim}"
+            assert run_calibrate(tame_csv, out, n_sim=n_sim) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["draws_total"] == sum(sizes) > 0
+            calls_per_block = 2 * math.ceil(n_sim / calibrator._CHUNK)
+            assert len(sizes) % calls_per_block == 0
+            pair_steps = 2 * sum(int(p) * n for p, n in manifest["passes_histogram"].items())
+            assert manifest["topup_blocks_total"] == len(sizes) // calls_per_block - pair_steps
 
     def test_single_rep_has_no_standard_error(self, tame_csv, tmp_path):
         out = tmp_path / "out"
@@ -484,26 +490,27 @@ class TestBadInputCells:
 
 class TestImportFootprint:
     """Only `calibrate` draws random numbers, so only it loads the sampler and the pool;
-    only the test oracle's quadrature loads `numpy.polynomial`."""
+    only the test oracle's quadrature loads `numpy.polynomial`, and no command loads
+    `numpy.ma`, which `np.median` and `np.quantile` import."""
 
     @staticmethod
     def modules_loaded(code: str) -> list[bool]:
         src = str(Path(pdcalib.__file__).resolve().parents[1])
         probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
                  "print([m in sys.modules for m in "
-                 "('numpy.random', 'concurrent.futures', 'numpy.polynomial')])")
+                 "('numpy.random', 'concurrent.futures', 'numpy.polynomial', 'numpy.ma')])")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         return json.loads(done.stdout.splitlines()[-1].lower())
 
     def test_importing_the_cli_loads_neither(self):
-        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False, False, False]
+        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False, False, False, False]
 
     def test_calibrate_loads_both(self, tame_csv, tmp_path):
         argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
                 "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "out")]
         code = f"from pdcalib.cli import main\nassert main({argv!r}) == 0"
-        assert self.modules_loaded(code) == [True, True, False]
+        assert self.modules_loaded(code) == [True, True, False, False]
 
 
 def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
