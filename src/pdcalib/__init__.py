@@ -16,7 +16,6 @@ from .calibrator import (CalibrationConfig, CalibrationResult, SweepResult, cali
 from .cohorts import (CohortSnapshot, GradeCount, compute_posterior, observed_default_rates,
                       parse_cohort_csv)
 from .benchmarks import build_comparison, central_tendency, pluto_tasche, scale_to_ct
-from .betareg import RegressionModel, fit, predict_mean
 from .statdist import BetaParams, binomial_tail_le, rng_stream, sample_beta, solve_monotone
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "CalibrationConfig", "SweepResult", "CalibrationResult",
     "fit_beta_moments", "run_sweep", "calibrate", "export_histograms",
     "central_tendency", "pluto_tasche", "scale_to_ct", "build_comparison",
-    "RegressionModel", "fit", "predict_mean",
 ]

@@ -4,10 +4,10 @@ Implements the Pluto & Tasche (2005) most-prudent estimation: grade i is
 assigned the largest default probability still compatible, at the chosen
 confidence level, with the defaults observed in the pooled cohort of grade
 i and everything worse.  That PD is the upper Clopper-Pearson bound, a
-quantile of Beta(D + 1, N - D) for the pooled counts; every grade's
-quantile comes from one elementwise safeguarded Newton solve on the
-binomial tail, and a running maximum from best to worst grade keeps the
-bounds monotone.  All method columns (simulated, most-prudent and any
+quantile of Beta(D + 1, N - D) for the pooled counts; each grade's
+quantile comes from one Newton solve of its own, in floats on ``math``,
+and a running maximum from best to worst grade keeps the bounds
+monotone.  All method columns (simulated, most-prudent and any
 external ones read by ``parse_external_csv``) are put on a common footing
 by scaling each one so its count-weighted average equals the portfolio
 central tendency.
@@ -15,13 +15,12 @@ central tendency.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
-
-import numpy as np
 
 from .cohorts import CohortSnapshot
 from .csvio import CohortError, bare_cell, probability, read_rows
-from .statdist import binomial_tail_le, log_beta, solve_monotone
+from .statdist import _normal_quantile, binomial_tail_le, log_beta, solve_monotone
 
 __all__ = [
     "central_tendency",
@@ -55,38 +54,40 @@ def pluto_tasche(snapshot: CohortSnapshot, confidence: float = 0.75) -> list[flo
     takes the upper confidence bound: the largest theta with
     P(X <= D_i | N_i, theta) >= 1 - confidence, i.e. the ``confidence``
     quantile of Beta(D_i + 1, N_i - D_i).  When the pooled defaults equal
-    the pooled cohort the bound is 1.  All other grades are solved together
-    by one safeguarded Newton iteration on the binomial tail, whose
-    derivative in theta is minus that beta density; each grade starts at its
+    the pooled cohort the bound is 1.  Every other grade gets one
+    safeguarded Newton solve on the binomial tail, whose derivative in
+    theta is minus that beta density; it starts at the grade's
     Cornish-Fisher (skew-corrected normal) quantile and stops on a relative
-    step of 1e-12.  A running maximum is then applied from best to worst grade.
+    step of 1e-12.  A running maximum from best to worst grade then keeps
+    the bounds monotone.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    from statistics import NormalDist
+    z = _normal_quantile(confidence)
+    pools, n, d = [], 0, 0
+    for g in reversed(snapshot.grades):
+        n, d = n + g.performing_start, d + g.defaults_end
+        pools.append((n, d))
+    pds, floor = [], 0.0
+    for n, d in reversed(pools):
+        pd = 1.0
+        if d < n:  # so n > 0
+            a, b, s = d + 1.0, float(n - d), n + 1.0
+            log_norm = log_beta(a, b)
 
-    grades = snapshot.grades[::-1]
-    n_pool = np.cumsum([g.performing_start for g in grades])[::-1]
-    d_pool = np.cumsum([g.defaults_end for g in grades])[::-1]
-    solved = (n_pool > 0) & (d_pool < n_pool)
-    n, d = n_pool[solved], d_pool[solved]
-    a, b, s = d + 1.0, n - d, n + 1.0
-    log_norm = log_beta(a, b)
+            def tail_slope(theta):
+                # d/dtheta P(X <= d | n, theta) = -(Beta(d + 1, n - d) density at theta)
+                return -math.exp(d * math.log(theta) + (n - d - 1) * math.log1p(-theta) - log_norm)
 
-    def tail_slope(theta):
-        # d/dtheta P(X <= d | n, theta) = -(Beta(d + 1, n - d) density at theta)
-        return -np.exp(d * np.log(theta) + (n - d - 1) * np.log1p(-theta) - log_norm)
-
-    # Cornish-Fisher start: mean + sd (z + skew (z^2 - 1) / 6)
-    z = NormalDist().inv_cdf(confidence)
-    sd = np.sqrt(a * b / (s * s * (s + 1.0)))
-    skew = 2.0 * (b - a) * np.sqrt(s + 1.0) / ((s + 2.0) * np.sqrt(a * b))
-    x0 = np.clip(a / s + sd * (z + skew * (z * z - 1.0) / 6.0), _THETA_LO, _THETA_HI)
-    pds = np.ones(len(n_pool))
-    pds[solved] = solve_monotone(
-        lambda theta: binomial_tail_le(n, d, theta), 1.0 - confidence,
-        _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=x0)
-    return np.maximum.accumulate(pds).tolist()
+            # Cornish-Fisher start: mean + sd (z + skew (z^2 - 1) / 6)
+            sd = math.sqrt(a * b / (s * s * (s + 1.0)))
+            skew = 2.0 * (b - a) * math.sqrt(s + 1.0) / ((s + 2.0) * math.sqrt(a * b))
+            x0 = min(max(a / s + sd * (z + skew * (z * z - 1.0) / 6.0), _THETA_LO), _THETA_HI)
+            pd = solve_monotone(lambda theta: binomial_tail_le(n, d, theta), 1.0 - confidence,
+                                _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=x0)
+        floor = max(floor, pd)
+        pds.append(floor)
+    return pds
 
 
 def scale_to_ct(pds: Sequence[float], snapshot: CohortSnapshot) -> list[float]:

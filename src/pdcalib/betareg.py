@@ -13,16 +13,19 @@ exact whenever the data sit on the link surface.  The link is always
 rows, as ``parse_history_csv`` and ``parse_newdata_csv`` return it; only
 the link functions run per value, on ``math``, so a fitted model and
 its predictions do not change with numpy's vectorised ``log``/``exp``.
+A function imports numpy when called, so importing the module loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .csvio import CohortError, bare_cell, finite_row, read_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LINK", "RegressionModel", "fit", "predict_mean", "parse_history_csv",
            "parse_newdata_csv", "logit", "inv_logit"]
@@ -72,6 +75,7 @@ def predict_mean(model: RegressionModel, y) -> np.ndarray:
     Each mean is clipped a hair inside (0, 1), so even a saturating
     predictor gives a mean that ``fit`` accepts back as history.
     """
+    import numpy as np
     y = _regressors(y)
     if y.shape[1] != len(model.coefficients):
         raise ValueError(f"regressor rows have {y.shape[1]} entries, "
@@ -92,6 +96,7 @@ def fit(y, mu) -> RegressionModel:
     dispersion is moment matched from the response-scale residual
     variance and capped when the fit is (numerically) exact.
     """
+    import numpy as np
     y = _regressors(y)
     mu = np.asarray(mu, dtype=np.float64)
     n, k = y.shape
@@ -125,6 +130,7 @@ def fit(y, mu) -> RegressionModel:
 
 
 def _regressors(y) -> np.ndarray:
+    import numpy as np
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError(f"regressors must be an n x k array, got shape {y.shape}")
@@ -140,6 +146,8 @@ def parse_history_csv(source) -> tuple[np.ndarray, np.ndarray]:
     rows.  ``k`` may be zero (an intercept-only model).  Every number must
     be finite.
     """
+    import numpy as np
+
     def header(width: int) -> tuple[str, ...]:
         return ("period", "mu", *(f"y{i}" for i in range(1, width - 1)))
 
@@ -156,6 +164,7 @@ def parse_newdata_csv(source, k: int) -> tuple[list[str], np.ndarray]:
     Returns (period labels, n x k regressor array); zero rows is fine.  A
     period is written into predictions.csv, so it must need no CSV quoting.
     """
+    import numpy as np
     header = ("period", *(f"y{i}" for i in range(1, k + 1)))
     rows = read_rows(source, header,
                      lambda cells: (bare_cell(cells[0], "period"), finite_row(cells[1:])))

@@ -23,8 +23,9 @@ confidence bounds are reported.  The repetitions run on threads of this one
 process (the beta sampler and numpy's array loops release the interpreter
 lock); results are bit-reproducible for a fixed (seed, config, data, numpy
 version) regardless of the thread count.  ``calibrate`` is the only caller
-of ``rng_stream`` and the only user of a thread pool, so numpy's sampler
-and ``concurrent.futures`` are imported when it runs, not with the module.
+of ``rng_stream`` and the only user of a thread pool.  numpy, its sampler
+and ``concurrent.futures`` are imported when a function that uses them
+runs, not with the module.
 ``oracle_conditional_means_2grade`` gives one pair step's means as n_sim grows
 without bound, by 1-D Gauss-Legendre quadrature: the filter's test reference.
 """
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .statdist import BetaParams, log_beta, rng_stream, sample_beta
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CalibrationConfig",
@@ -191,7 +193,7 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
     and the top-up budget count whole blocks.
     """
     shifts = [p.alpha / (p.alpha + p.beta) for p in (lower, upper)]
-    sums = np.zeros((2, 2))  # per grade: sum of differences, sum of their squares
+    sums = [[0.0, 0.0], [0.0, 0.0]]  # per grade: sum of differences, sum of their squares
     accepted = drawn = 0
     for _ in range(_MAX_RESAMPLE_ROUNDS + 1):
         for start in range(0, cfg.n_sim, _CHUNK):
@@ -202,9 +204,10 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
             for grade, draws in enumerate((x, y)):
                 draws -= shifts[grade]
                 draws *= keep
-                sums[grade, 0] += draws.sum()
-                sums[grade, 1] += np.square(draws, out=draws).sum()
-            accepted += int(np.count_nonzero(keep))
+                sums[grade][0] += float(draws.sum())
+                draws *= draws
+                sums[grade][1] += float(draws.sum())
+            accepted += int(keep.sum())
         drawn += cfg.n_sim
         if accepted >= _MIN_ACCEPTED:
             break
@@ -219,9 +222,9 @@ def _filtered_pair(lower: BetaParams, upper: BetaParams, cfg: CalibrationConfig,
         raise InsufficientAcceptanceError(
             message + f"at this acceptance rate n_sim needs to be about "
             f"{1000 * math.ceil(needed / 1000)} or more")
-    offset = sums[:, 0] / accepted
-    sd = np.sqrt(sums[:, 1] / accepted - offset * offset)
-    lower, upper = (fit_beta_moments(float(c + d), float(s)) for c, d, s in zip(shifts, offset, sd))
+    offsets = [total / accepted for total, _ in sums]
+    sds = [math.sqrt(squares / accepted - o * o) for o, (_, squares) in zip(offsets, sums)]
+    lower, upper = (fit_beta_moments(c + o, sd) for c, o, sd in zip(shifts, offsets, sds))
     return lower, upper, accepted, drawn
 
 
@@ -240,8 +243,8 @@ def run_sweep(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
     m = len(params)
     if m < 2:
         raise ValueError("calibration needs at least 2 grades")
-    accepted_per_pair = np.zeros(m - 1)
-    drawn_per_pair = np.zeros(m - 1)
+    accepted_per_pair = [0] * (m - 1)
+    drawn_per_pair = [0] * (m - 1)
     for passes in range(1, _MAX_PASSES + 1):
         for i in range(m - 1):
             params[i], params[i + 1], accepted, drawn = _filtered_pair(
@@ -254,12 +257,12 @@ def run_sweep(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
     else:
         raise SweepNotConvergedError(
             f"calibrated means still out of order after {_MAX_PASSES} passes")
-    pairs_drawn = int(drawn_per_pair.sum())
+    pairs_drawn = sum(drawn_per_pair)
     return SweepResult(
         labels=tuple(post),
         params=tuple(params),
         means=tuple(means),
-        acceptance_rates=tuple(accepted_per_pair / drawn_per_pair),
+        acceptance_rates=tuple(a / d for a, d in zip(accepted_per_pair, drawn_per_pair)),
         passes=passes,
         draws_total=2 * pairs_drawn,
         topup_blocks_total=pairs_drawn // cfg.n_sim - passes * (m - 1),
@@ -280,6 +283,8 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
     those functions cost.
     """
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np  # here, on the calling thread, before the pool starts
 
     def sweep(rep: int) -> SweepResult:
         try:
@@ -334,6 +339,7 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     """
     if min(p1.alpha, p1.beta, p2.alpha, p2.beta) < 1.0:
         raise ValueError("quadrature oracle requires both shape parameters >= 1")
+    import numpy as np
     z = np.linspace(-12.0, 12.0, 101)
     logits = [math.log(p.alpha / p.beta) + z * math.sqrt(1.0 / p.alpha + 1.0 / p.beta)
               for p in (p1, p2)]
@@ -369,6 +375,7 @@ def export_histograms(result: CalibrationResult) -> list[tuple[tuple[float, ...]
     one more edge than counts; a degenerate grade (all repetitions equal)
     collapses to the edges ``(v, v)`` around a single occupied bin.
     """
+    import numpy as np
     out = []
     for values in result.sweep_means.T:
         lo, hi = float(values.min()), float(values.max())

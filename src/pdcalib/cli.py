@@ -83,6 +83,7 @@ def _numbered(prefix: str, values) -> dict:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from numpy import __version__ as numpy_version
     started = time.perf_counter()
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
@@ -111,6 +112,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     mc_se = ((result.sweep_means.std(axis=0, ddof=1) / math.sqrt(cfg.k_reps)).tolist()
              if cfg.k_reps > 1 else [None] * len(snapshot.grades))
     manifest = envelope("calibrate", started, input=args.input) | {
+        "numpy_version": numpy_version,
         "period": snapshot.period,
         "n_grades": len(snapshot.grades),
         **asdict(cfg),
@@ -186,6 +188,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from numpy import __version__ as numpy_version
     started = time.perf_counter()
     y_history, mu_history = parse_history_csv(args.history)
     model = fit_regression(y_history, mu_history)
@@ -201,6 +204,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rows = [[period, _fmt(mu)] for period, mu in zip(periods, predict_mean(model, y_new))]
 
     manifest = envelope("predict", started, history=args.history, newdata=args.newdata) | {
+        "numpy_version": numpy_version,
         "n_observations": len(mu_history),
         "n_regressors": len(model.coefficients),
         "n_predictions": len(rows),

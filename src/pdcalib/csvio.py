@@ -22,8 +22,6 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from . import __version__
 
 __all__ = ["CohortError", "read_rows", "finite", "finite_row", "probability", "bare_cell",
@@ -163,12 +161,12 @@ def write_outputs(out_dir: str | Path, files: dict[str, str], manifest: dict) ->
 def envelope(command: str, started: float, **inputs: Path | None) -> dict:
     """Manifest entries every command writes.
 
-    The command, tool and numpy versions, ``<name>_path`` and
+    The command, the tool version, ``<name>_path`` and
     ``<name>_digest`` (a 64-bit content hash, hex encoded) for each input
     file, both empty for an input not given, and the seconds since
     ``started`` (a ``time.perf_counter`` reading).
     """
-    doc = {"command": command, "tool_version": __version__, "numpy_version": np.__version__}
+    doc = {"command": command, "tool_version": __version__}
     for name, path in inputs.items():
         digest = hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest() if path else ""
         doc[f"{name}_path"] = str(path or "")

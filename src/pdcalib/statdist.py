@@ -1,45 +1,32 @@
 """Statistical kernels shared by the whole package.
 
-Beta variates come from numpy's ``Generator`` on SFC64 streams seeded
-by ``SeedSequence`` spawn keys (``rng_stream``), and log-gamma from
-``math.lgamma``.  Only ``rng_stream`` loads ``numpy.random``, when it is
-first called, so a command that draws nothing never imports the sampler.  On
-top of numpy array arithmetic the module adds the log beta function (with
-Stirling's series where lgamma differences would cancel), the regularized
-incomplete beta function through a Lentz-style continued fraction with a
-shape-scaled iteration budget, binomial tail probabilities through the
-incomplete-beta identity, and a safeguarded Newton root finder for
-monotone targets that falls back to bisection.  Iterative kernels
+Beta variates come from numpy's ``Generator`` on SFC64 streams seeded by
+``SeedSequence`` spawn keys (``rng_stream``, which alone loads numpy, when
+first called).  Every other kernel is a scalar function on ``math``: the
+log beta function (``math.lgamma``, with Stirling's series where lgamma
+differences would cancel), the regularized incomplete beta function
+through a Lentz-style continued fraction with a shape-scaled iteration
+budget, binomial tail probabilities through the incomplete-beta identity,
+a safeguarded Newton root finder for monotone targets that falls back to
+bisection, and the standard normal quantile it solves.  Iterative kernels
 converge or raise ConvergenceError; they never return a truncated result.
-
-``log_beta``, ``binomial_tail_le`` and ``solve_monotone`` work
-elementwise on scalars or numpy arrays, so one call serves a whole
-portfolio; ``sample_beta`` returns an array of draws.  ``log_beta`` also
-normalises the densities of the calibrator's quadrature oracle.  The continued
-fraction runs per element in plain floats, since numpy's call overhead on each
-of its hundreds of terms would outweigh the arithmetic on a portfolio's few
-dozen elements.  It takes x itself, so near x = 1 it is good to only about
-alpha * 5e-17 relative (5e-11 for Beta(1e6, 1)), which is why that oracle
-does not use it.
+``log_beta`` also normalises the densities of the calibrator's quadrature
+oracle.  The continued fraction takes x itself, so near x = 1 it is good
+to only about alpha * 5e-17 relative (5e-11 for Beta(1e6, 1)), which is
+why that oracle does not use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = [
-    "BetaParams",
-    "rng_stream",
-    "BracketError",
-    "ConvergenceError",
-    "sample_beta",
-    "log_beta",
-    "binomial_tail_le",
-    "solve_monotone",
-]
+__all__ = ["BetaParams", "rng_stream", "BracketError", "ConvergenceError", "sample_beta",
+           "log_beta", "binomial_tail_le", "solve_monotone"]
 
 _U64_MAX = (1 << 64) - 1
 _SOLVE_MAX_STEPS = 200
@@ -102,22 +89,22 @@ def sample_beta(p: BetaParams, rng: np.random.Generator, size: int) -> np.ndarra
     rounds to 0 or 1.  A negative ``size`` raises numpy's ValueError.
     """
     out = rng.beta(p.alpha, p.beta, size)
-    np.clip(out, 5e-324, 1.0 - 2.0 ** -53, out=out)
-    return out
+    return out.clip(5e-324, 1.0 - 2.0 ** -53, out=out)
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _stirling_tail(x: np.ndarray) -> np.ndarray:
+def _stirling_tail(x: float) -> float:
     """lgamma(x) - ((x - 1/2) log x - x + log sqrt(2 pi)), to 2e-14 for x >= 10."""
     r = 1.0 / (x * x)
     return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / x
 
 
-def log_beta(a, b):
-    """Log of the beta function B(a, b), elementwise over broadcast arrays.
+def log_beta(a: float, b: float) -> float:
+    """Log of the beta function B(a, b).
 
     The sum lgamma(a) + lgamma(b) - lgamma(a + b) loses about one unit in
     the last place of lgamma(a + b): 2e-9 at a + b = 1e6, 3e-8 at 1e7.  So
@@ -126,20 +113,19 @@ def log_beta(a, b):
     (x - 1/2) log x terms cancel analytically into log1p form (the scheme
     of R's ``lbeta``).
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    p, q = np.minimum(a, b), np.maximum(a, b)
+    p, q = min(a, b), max(a, b)
     s = p + q
-    lgamma_p = _lgamma(p)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(s)
     corr = _stirling_tail(q) - _stirling_tail(s)
-    one_large = lgamma_p + p - p * np.log(s) + (q - 0.5) * np.log1p(-p / s) + corr
-    both_large = (_HALF_LOG_2PI - 0.5 * np.log(q) + (p - 0.5) * np.log(p / s)
-                  + q * np.log1p(-p / s) + _stirling_tail(p) + corr)
-    return np.where(q < 10.0, lgamma_p + _lgamma(q) - _lgamma(s),
-                    np.where(p < 10.0, one_large, both_large))
+    if p < 10.0:
+        return math.lgamma(p) + p - p * math.log(s) + (q - 0.5) * math.log1p(-p / s) + corr
+    return (_HALF_LOG_2PI - 0.5 * math.log(q) + (p - 0.5) * math.log(p / s)
+            + q * math.log1p(-p / s) + _stirling_tail(p) + corr)
 
 
 def _cont_frac_budget(a: float, b: float) -> int:
-    """Iteration budget of the continued fraction for one element's shapes.
+    """Iteration budget of the continued fraction for the shapes (a, b).
 
     The modified Lentz evaluation needs O(sqrt(max(a, b))) terms (Numerical
     Recipes, section 6.4).  Measured worst cases, just below the symmetry
@@ -149,12 +135,12 @@ def _cont_frac_budget(a: float, b: float) -> int:
     return 200 + int(2.0 * math.sqrt(max(a, b)))
 
 
-def _cont_frac_one(a: float, b: float, x: float) -> float:
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz) at one point.
 
-    A plain-float loop that stops once its odd step lies within 3e-16 of 1,
-    and raises ConvergenceError naming its shapes when the budget scaled to
-    them runs out first.  ``_beta_cont_frac`` maps it over broadcast arrays.
+    Stops once its odd step lies within 3e-16 of 1, and raises
+    ConvergenceError naming its shapes and point when the budget scaled to
+    the shapes runs out first.
     """
     max_iter = _cont_frac_budget(a, b)
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -179,103 +165,96 @@ def _cont_frac_one(a: float, b: float, x: float) -> float:
         f"for a={a:g}, b={b:g}, x={x:g}")
 
 
-_beta_cont_frac = np.vectorize(_cont_frac_one, otypes=[np.float64])
-
-
-def _inc_beta(x, y, a, b) -> np.ndarray:
+def _inc_beta(x: float, y: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) for 0 < x < 1, given y = 1 - x.
 
-    Elementwise over broadcast arrays.  Taking 1 - x from the caller lets
-    one that knows the small side exactly (the binomial tail knows theta)
-    keep its precision.  The continued fraction runs on I_x(a, b) below the
-    symmetry switch x = (a + 1) / (a + b + 2) and on 1 - I_y(b, a) above it.
+    Taking 1 - x from the caller lets one that knows the small side exactly
+    (the binomial tail knows theta) keep its precision.  The continued
+    fraction runs on I_x(a, b) below the symmetry switch
+    x = (a + 1) / (a + b + 2) and on 1 - I_y(b, a) above it.
     """
-    x, y, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, a, b)))
-    log_x = np.where(x < 0.5, np.log(x), np.log1p(-y))
-    log_y = np.where(y < 0.5, np.log(y), np.log1p(-x))
-    front = np.exp(a * log_x + b * log_y - log_beta(a, b))
-    direct = x < (a + 1.0) / (a + b + 2.0)
-    frac = _beta_cont_frac(np.where(direct, a, b), np.where(direct, b, a), np.where(direct, x, y))
-    return np.clip(np.where(direct, front / a * frac, 1.0 - front / b * frac), 0.0, 1.0)
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(a * log_x + b * log_y - log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        value = front / a * _beta_cont_frac(a, b, x)
+    else:
+        value = 1.0 - front / b * _beta_cont_frac(b, a, y)
+    return min(max(value, 0.0), 1.0)
 
 
-def binomial_tail_le(n, d, theta):
-    """P(X <= d) for X ~ Binomial(n, theta), via the incomplete-beta identity.
-
-    Elementwise over broadcast arrays of ``n``, ``d`` and ``theta``; scalar
-    arguments give a float.
-    """
-    n_arr, d_arr, t = np.broadcast_arrays(
-        np.asarray(n), np.asarray(d), np.asarray(theta, dtype=np.float64))
-    if np.any(n_arr < 0):
+def binomial_tail_le(n: int, d: int, theta: float) -> float:
+    """P(X <= d) for X ~ Binomial(n, theta), via the incomplete-beta identity
+    P(X <= d) = I_{1-theta}(n - d, d + 1)."""
+    if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if np.any((d_arr < 0) | (d_arr > n_arr)):
+    if not 0 <= d <= n:
         raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
-    if not np.all((t > 0.0) & (t < 1.0)):
+    if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
-    # P(X <= d) = I_{1-theta}(n - d, d + 1), which is 1 where d = n; those
-    # elements get shape 1 so the kernel stays in its domain.
-    full = d_arr == n_arr
-    tail = _inc_beta(1.0 - t, t, np.where(full, 1.0, n_arr - d_arr), d_arr + 1.0)
-    out = np.where(full, 1.0, tail)
-    return out if out.ndim else float(out)
+    if d == n:
+        return 1.0
+    return _inc_beta(1.0 - theta, theta, float(n - d), d + 1.0)
 
 
-def solve_monotone(f, target, lo, hi, tol: float = 1e-12, fprime=None, x0=None):
-    """Solve ``f(x) = target`` for monotone ``f`` on [lo, hi], elementwise.
+def solve_monotone(f, target: float, lo: float, hi: float, tol: float = 1e-12,
+                   fprime=None, x0: float | None = None) -> float:
+    """Solve ``f(x) = target`` for monotone ``f`` on [lo, hi].
 
-    ``target``, ``lo``, ``hi`` and ``x0`` broadcast to the shape of the
-    problem, and ``f`` (and ``fprime``) are called on arrays of that shape.
     A safeguarded Newton iteration ("rtsafe"): starting from ``x0`` (by
-    default the midpoint), each element evaluates ``f``, shrinks its bracket
+    default the midpoint), each step evaluates ``f``, shrinks the bracket
     to the side that holds the root, then takes the Newton step when
     ``fprime`` is given and the step lands strictly inside the bracket, and
     the bracket midpoint otherwise.  Without ``fprime`` this is bisection.
-    An element is done when ``f`` hits the target exactly or its step is at
+    The solve is done when ``f`` hits the target exactly or its step is at
     most ``tol`` relative to the new point.  Raises BracketError when the
-    target is not enclosed, and ConvergenceError when some element is not
-    done within the iteration cap.  Scalar arguments give a float.
+    target is not enclosed, and ConvergenceError when it is not done within
+    the iteration cap.
     """
-    if x0 is None:
-        x0 = 0.5 * (np.asarray(lo, dtype=np.float64) + np.asarray(hi, dtype=np.float64))
-    target, lo, hi, x = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (target, lo, hi, x0)))
-    if not np.all(lo < hi):
+    if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not np.all((lo <= x) & (x <= hi)):
+    x = 0.5 * (lo + hi) if x0 is None else x0
+    if not lo <= x <= hi:
         raise ValueError("x0 must lie inside [lo, hi]")
-    f_lo = np.asarray(f(lo), dtype=np.float64) - target
-    f_hi = np.asarray(f(hi), dtype=np.float64) - target
-    open_ = f_lo * f_hi > 0.0
-    if np.any(open_):
-        i = np.flatnonzero(open_)[0]
+    f_lo, f_hi = f(lo) - target, f(hi) - target
+    if f_lo * f_hi > 0.0:
         raise BracketError(
-            f"target {target.flat[i]} not enclosed: f(lo)-target={f_lo.flat[i]:g}, "
-            f"f(hi)-target={f_hi.flat[i]:g}")
-    done = (f_lo == 0.0) | (f_hi == 0.0)
-    root = np.where(f_lo == 0.0, lo, hi)
+            f"target {target} not enclosed: f(lo)-target={f_lo:g}, f(hi)-target={f_hi:g}")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
     increasing = f_hi > f_lo
     for _ in range(_SOLVE_MAX_STEPS):
-        if done.all():
-            break
-        fx = np.asarray(f(x), dtype=np.float64) - target
-        above = (fx > 0.0) == increasing
-        hi = np.where(above, x, hi)
-        lo = np.where(above, lo, x)
+        fx = f(x) - target
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == increasing:
+            hi = x
+        else:
+            lo = x
         nxt = 0.5 * (lo + hi)
         if fprime is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = x - fx / np.asarray(fprime(x), dtype=np.float64)
-            # a zero step leaves x at the bracket end it just became
-            take = ((lo < newton) & (newton < hi)) | (newton == x)
-            nxt = np.where(take, newton, nxt)
-        hit = fx == 0.0
-        finished = ~done & (hit | (np.abs(nxt - x) <= tol * np.abs(nxt)))
-        root = np.where(finished, np.where(hit, x, nxt), root)
-        done |= finished
-        x = np.where(done, x, nxt)
-    if not done.all():
-        raise ConvergenceError(
-            f"solve_monotone: {int((~done).sum())} of {done.size} roots not within "
-            f"relative tolerance {tol:g} after {_SOLVE_MAX_STEPS} steps")
-    return root if root.ndim else float(root)
+            slope = fprime(x)
+            if slope != 0.0:
+                newton = x - fx / slope
+                # a zero step leaves x at the bracket end it just became
+                if lo < newton < hi or newton == x:
+                    nxt = newton
+        if abs(nxt - x) <= tol * abs(nxt):
+            return nxt
+        x = nxt
+    raise ConvergenceError(
+        f"solve_monotone: root not within relative tolerance {tol:g} "
+        f"after {_SOLVE_MAX_STEPS} steps")
+
+
+def _normal_quantile(p: float) -> float:
+    """The z with Phi(z) = p, 0 < p < 1: a Newton solve of 0.5 erfc(-z / sqrt 2)
+    = min(p, 1 - p) in the lower tail, where erfc keeps its relative
+    precision, from -sqrt(-2 log 2 min(p, 1 - p)), mirrored for p > 1/2."""
+    tail = min(p, 1.0 - p)
+    z = solve_monotone(lambda t: 0.5 * math.erfc(-t / _SQRT2), tail, -40.0, 0.0,
+                       fprime=lambda t: math.exp(-0.5 * t * t) / _SQRT_2PI,
+                       x0=-math.sqrt(-2.0 * math.log(2.0 * tail)))
+    return math.copysign(z, p - 0.5)

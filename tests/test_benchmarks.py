@@ -111,6 +111,7 @@ class TestPlutoTasche:
         assert pds[0] == pytest.approx(-math.expm1(math.log(0.25) / n), rel=1e-9)
 
     def test_one_solve_per_snapshot(self, monkeypatch, snapshot_2016):
+        # one solve per grade whose pooled defaults fall short of its pooled cohort
         calls = []
         solve = benchmarks.solve_monotone
 
@@ -120,23 +121,29 @@ class TestPlutoTasche:
 
         monkeypatch.setattr(benchmarks, "solve_monotone", counted)
         pluto_tasche(snapshot_2016)
-        assert len(calls) == 1
-        # a snapshot with no grade to solve still makes exactly one call
+        assert len(calls) == len(snapshot_2016.grades)
+        # a snapshot with no grade to solve makes no call
         assert pluto_tasche(snap([(1, "A", 0, 0), (2, "B", 5, 5)])) == [1.0, 1.0]
-        assert len(calls) == 2
+        assert len(calls) == len(snapshot_2016.grades)
 
     def test_newton_start_needs_at_most_four_tail_calls(self, monkeypatch):
-        # the two bracket ends, then two Newton steps from the Cornish-Fisher start
-        calls = []
-        tail = benchmarks.binomial_tail_le
+        # per grade: the two bracket ends, then two Newton steps from the Cornish-Fisher start
+        tail_calls = []  # one count per solve
+        solve, tail = benchmarks.solve_monotone, benchmarks.binomial_tail_le
 
-        def counted(*args):
-            calls.append(1)
+        def counted_solve(*args, **kwargs):
+            tail_calls.append(0)
+            return solve(*args, **kwargs)
+
+        def counted_tail(*args):
+            tail_calls[-1] += 1
             return tail(*args)
 
-        monkeypatch.setattr(benchmarks, "binomial_tail_le", counted)
+        monkeypatch.setattr(benchmarks, "solve_monotone", counted_solve)
+        monkeypatch.setattr(benchmarks, "binomial_tail_le", counted_tail)
         pluto_tasche(self.large_portfolio()[2])
-        assert len(calls) <= 4
+        assert len(tail_calls) == 20
+        assert max(tail_calls) <= 4
 
 
 class TestScaleToCT:

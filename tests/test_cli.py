@@ -329,7 +329,7 @@ class TestPredictCommand:
         assert "line 2" in capsys.readouterr().err
 
 
-ENVELOPE_KEYS = {"command", "tool_version", "numpy_version", "duration_seconds"}
+ENVELOPE_KEYS = {"command", "tool_version", "duration_seconds"}
 
 
 def input_keys(*names):
@@ -340,11 +340,11 @@ class TestOutputKeys:
     """Exact key sets of every command's manifest.json and model.json."""
 
     CALIBRATE_KEYS = ENVELOPE_KEYS | input_keys("input") | {
-        "period", "n_grades", "n_sim", "k_reps", "seed", "ci_level", "min_accepted",
-        "max_resample_rounds", "max_passes", "threads", "emit_histograms", "passes_min",
-        "passes_max", "passes_histogram", "draws_total", "topup_blocks_total", "warnings",
-        "acceptance_rate_pair_1", "acceptance_rate_pair_2", "mc_se_grade_1", "mc_se_grade_2",
-        "mc_se_grade_3"}
+        "numpy_version", "period", "n_grades", "n_sim", "k_reps", "seed", "ci_level",
+        "min_accepted", "max_resample_rounds", "max_passes", "threads", "emit_histograms",
+        "passes_min", "passes_max", "passes_histogram", "draws_total", "topup_blocks_total",
+        "warnings", "acceptance_rate_pair_1", "acceptance_rate_pair_2", "mc_se_grade_1",
+        "mc_se_grade_2", "mc_se_grade_3"}
     COMPARE_KEYS = ENVELOPE_KEYS | input_keys("input", "calibration", "external") | {
         "period", "pt_confidence", "pt_enforce_monotone", "central_tendency",
         "total_performing", "total_defaults", "methods"}
@@ -388,7 +388,7 @@ class TestOutputKeys:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == ENVELOPE_KEYS | input_keys("history", "newdata") | {
-            "n_observations", "n_regressors", "n_predictions", "link"}
+            "numpy_version", "n_observations", "n_regressors", "n_predictions", "link"}
         model = json.loads((out / "model.json").read_text())
         assert set(model) == {"manifest", "intercept", "link", "precision",
                               "coefficient_1", "coefficient_2"}
@@ -491,26 +491,46 @@ class TestBadInputCells:
 class TestImportFootprint:
     """Only `calibrate` draws random numbers, so only it loads the sampler and the pool;
     only the test oracle's quadrature loads `numpy.polynomial`, and no command loads
-    `numpy.ma`, which `np.median` and `np.quantile` import."""
+    `numpy.ma`, which `np.median` and `np.quantile` import.  `compare` works on scalars,
+    so it loads neither numpy nor `statistics`; `calibrate` and `predict` load numpy."""
 
     @staticmethod
     def modules_loaded(code: str) -> list[bool]:
+        """Whether ``code`` loads numpy.random, concurrent.futures, numpy.polynomial,
+        numpy.ma, numpy and statistics, in that order."""
         src = str(Path(pdcalib.__file__).resolve().parents[1])
         probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
-                 "print([m in sys.modules for m in "
-                 "('numpy.random', 'concurrent.futures', 'numpy.polynomial', 'numpy.ma')])")
+                 "print([m in sys.modules for m in ('numpy.random', 'concurrent.futures', "
+                 "'numpy.polynomial', 'numpy.ma', 'numpy', 'statistics')])")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         return json.loads(done.stdout.splitlines()[-1].lower())
 
+    @staticmethod
+    def main_code(argv) -> str:
+        return f"from pdcalib.cli import main\nassert main({list(map(str, argv))!r}) == 0"
+
     def test_importing_the_cli_loads_neither(self):
-        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False, False, False, False]
+        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False] * 6
 
     def test_calibrate_loads_both(self, tame_csv, tmp_path):
-        argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
-                "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "out")]
-        code = f"from pdcalib.cli import main\nassert main({argv!r}) == 0"
-        assert self.modules_loaded(code) == [True, True, False, False]
+        argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
+                "--k-reps", "1", "--threads", "1", "--out", tmp_path / "out"]
+        assert self.modules_loaded(self.main_code(argv)) == [True, True, False, False, True, False]
+
+    def test_compare_loads_no_numpy(self, tame_csv, tmp_path):
+        assert run_calibrate(tame_csv, tmp_path / "calib") == 0
+        argv = ["compare", "--input", tame_csv, "--period", "T1",
+                "--calibration", tmp_path / "calib" / "calibration.csv", "--out", tmp_path / "cmp"]
+        assert self.modules_loaded(self.main_code(argv)) == [False] * 6
+
+    def test_predict_loads_numpy(self, tmp_path):
+        history = tmp_path / "history.csv"
+        history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
+        newdata = tmp_path / "newdata.csv"
+        newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
+        argv = ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]
+        assert self.modules_loaded(self.main_code(argv)) == [False] * 4 + [True, False]
 
 
 def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
