@@ -8,24 +8,17 @@ plain least squares on the link scale, the smallest estimator that is
 exact whenever the data sit on the link surface.  The link is always
 ``LINK``.  The dispersion is moment matched and only reported (in
 ``model.json``); it never shapes the predicted mean.
-
-``fit`` and ``predict_mean`` work on an n x k float array of regressor
-rows, as ``parse_history_csv`` and ``parse_newdata_csv`` return it; only
-the link functions run per value, on ``math``, so a fitted model and
-its predictions do not change with numpy's vectorised ``log``/``exp``.
-A function imports numpy when called, so importing the module loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import reduce
+from itertools import chain, filterfalse
+from operator import add, mul
 
 from .csvio import CohortError, bare_cell, finite_row, read_rows
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["LINK", "RegressionModel", "fit", "predict_mean", "parse_history_csv",
            "parse_newdata_csv", "logit", "inv_logit"]
@@ -65,108 +58,114 @@ class RegressionModel:
             raise ValueError(f"precision must be positive, got {self.precision}")
 
 
-def predict_mean(model: RegressionModel, y) -> np.ndarray:
+def predict_mean(model: RegressionModel, y) -> list[float]:
     """Predicted means inv_logit(intercept + sum(coef * y)), one per row of ``y``.
 
-    ``y`` is an n x k array of regressor rows.  The linear predictor is
-    summed column by column in coefficient order from 0.0, then the
-    intercept is added, and ``inv_logit`` runs on each value with
-    ``math.exp``, so a mean does not depend on how many rows come with it.
-    Each mean is clipped a hair inside (0, 1), so even a saturating
-    predictor gives a mean that ``fit`` accepts back as history.
+    A row's products are added in coefficient order from 0.0, then the
+    intercept, so a mean does not depend on the rows around it.  Each mean is
+    clipped a hair inside (0, 1), so that ``fit`` accepts it back as history.
     """
-    import numpy as np
-    y = _regressors(y)
-    if y.shape[1] != len(model.coefficients):
-        raise ValueError(f"regressor rows have {y.shape[1]} entries, "
-                         f"model expects {len(model.coefficients)}")
-    z = np.zeros(len(y))
-    for j, c in enumerate(model.coefficients):
-        z += c * y[:, j]
-    z += model.intercept
-    return np.clip([inv_logit(v) for v in z.tolist()], _MU_CLIP, 1.0 - _MU_CLIP)
+    lo, hi = _MU_CLIP, 1.0 - _MU_CLIP
+    return [lo if mu < lo else hi if mu > hi else mu
+            for mu in _means(model, _regressors(y, len(model.coefficients)))]
 
 
 def fit(y, mu) -> RegressionModel:
     """Least-squares fit of link(mu) on the regressors.
 
-    ``y`` is an n x k array of regressor rows and ``mu`` the n calibrated
+    ``y`` holds n rows of k regressor values and ``mu`` the n calibrated
     means, all strictly in (0, 1); the design must have full column rank.
-    Data generated exactly on the link surface is recovered exactly.  The
-    dispersion is moment matched from the response-scale residual
-    variance and capped when the fit is (numerically) exact.
+    Data on the link surface is recovered exactly.  The dispersion is moment
+    matched from the response-scale residual variance, capped for an exact fit.
     """
-    import numpy as np
-    y = _regressors(y)
-    mu = np.asarray(mu, dtype=np.float64)
-    n, k = y.shape
-    if mu.shape != (n,):
-        raise ValueError(f"{mu.size} means for {n} regressor rows")
+    rows, mu = _regressors(y), list(map(float, mu))
+    n = len(rows)
+    if len(mu) != n:
+        raise ValueError(f"{len(mu)} means for {n} regressor rows")
     if not n:
         raise ValueError("history is empty")
-    outside = (mu <= 0.0) | (mu >= 1.0)
-    if outside.any():
-        raise ValueError(f"calibrated mean must lie in (0, 1), got {mu[outside][0]}")
+    outside = [v for v in mu if not 0.0 < v < 1.0]
+    if outside:
+        raise ValueError(f"calibrated mean must lie in (0, 1), got {outside[0]}")
+    k = len(rows[0])
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} observations for {k} regressors, got {n}")
-    design = np.column_stack((np.ones(n), y))
-    target = np.array([logit(v) for v in mu.tolist()])
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
+    intercept, *coefficients = _least_squares([[1.0] * n, *map(list, zip(*rows))],
+                                              [logit(v) for v in mu])
+    fitted = _means(RegressionModel(intercept, coefficients), rows)
+    residual_var = math.fsum((m - f) ** 2 for m, f in zip(mu, fitted)) / n
+    mean_bernoulli_var = math.fsum(f * (1.0 - f) for f in fitted) / n
+    exact = residual_var < 1e-18 * max(mean_bernoulli_var, 1e-30)
+    precision = _PRECISION_CAP if exact else min(
+        max(mean_bernoulli_var / residual_var - 1.0, _PRECISION_FLOOR), _PRECISION_CAP)
+    return RegressionModel(intercept, coefficients, precision)
+
+
+def _least_squares(columns: list[list[float]], b: list[float]) -> list[float]:
+    """The x minimising |A x - b| for the n x p matrix A of ``columns``, n >= p, by
+    Householder QR with exact (``math.fsum``) dot products.  Rank-deficient, as by
+    ``numpy.linalg.lstsq``'s default cutoff, when min|R_jj| <= max|R_jj| n 2**-52."""
+    rest, r = [*columns, b], []  # rest: the columns from j on and b, rows j..n-1
+    for _ in columns:
+        x, *rest = rest
+        norm = math.hypot(*x)
+        alpha = -math.copysign(norm, x[0])
+        v = [x[0] - alpha, *x[1:]]  # I - v v^T / half maps x to alpha e_1, half = v^T v / 2
+        half = norm * (norm + abs(x[0])) or 1.0  # a zero column stays zero
+        dots = [math.fsum(map(mul, v, c)) / half for c in rest]
+        rest = [[ci - f * vi for ci, vi in zip(c, v)] for c, f in zip(rest, dots)]
+        r.append([alpha, *(c.pop(0) for c in rest)])  # row j of R, then (Q^T b)_j
+    diagonal = [abs(row[0]) for row in r]
+    if min(diagonal) <= max(diagonal) * len(b) * 2.0 ** -52:
         raise ValueError("rank-deficient design: regressors are collinear or constant")
-    fitted_mu = np.array([inv_logit(v) for v in (design @ coef).tolist()])
-    residual_var = float(np.mean((mu - fitted_mu) ** 2))
-    mean_bernoulli_var = float(np.mean(fitted_mu * (1.0 - fitted_mu)))
-    if residual_var < 1e-18 * max(mean_bernoulli_var, 1e-30):
-        precision = _PRECISION_CAP
-    else:
-        precision = min(max(mean_bernoulli_var / residual_var - 1.0, _PRECISION_FLOOR),
-                        _PRECISION_CAP)
-    return RegressionModel(
-        intercept=float(coef[0]),
-        coefficients=tuple(float(c) for c in coef[1:]),
-        precision=precision,
-    )
+    solution: list[float] = []
+    for row in reversed(r):
+        solution.insert(0, (row[-1] - math.fsum(map(mul, row[1:-1], solution))) / row[0])
+    return solution
 
 
-def _regressors(y) -> np.ndarray:
-    import numpy as np
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError(f"regressors must be an n x k array, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError(f"regressors must be finite, got {y[~np.isfinite(y)][0]}")
-    return y
+def _means(model: RegressionModel, rows: list[tuple[float, ...]]) -> list[float]:
+    """inv_logit(the row's products added in order from 0.0, plus the intercept), per row."""
+    return [inv_logit(reduce(add, map(mul, model.coefficients, row), 0.0) + model.intercept)
+            for row in rows]
 
 
-def parse_history_csv(source) -> tuple[np.ndarray, np.ndarray]:
+def _regressors(y, k: int | None = None) -> list[tuple[float, ...]]:
+    """``y`` as tuples; ValueError unless each row holds k finite numbers, or as
+    many as the first row when ``k`` is None."""
+    try:
+        rows = list(map(tuple, y))
+        bad = list(filterfalse(math.isfinite, chain.from_iterable(rows)))
+    except TypeError:
+        raise ValueError("regressors must be rows of numbers") from None
+    if bad:
+        raise ValueError(f"regressors must be finite, got {bad[0]}")
+    k = len(rows[0]) if k is None and rows else k
+    wrong = [len(row) for row in rows if len(row) != k]
+    if wrong:
+        raise ValueError(f"regressor rows have {wrong[0]} entries, model expects {k}")
+    return rows
+
+
+def parse_history_csv(source) -> tuple[list[tuple[float, ...]], list[float]]:
     """Read fitting history from `period,mu,y1,...,yk` rows.
 
-    Returns (n x k regressor array, n means); the periods only label the
-    rows.  ``k`` may be zero (an intercept-only model).  Every number must
-    be finite.
+    Returns (n regressor rows, n means); the periods only label the rows.
+    ``k`` may be zero (an intercept-only model).  Every number must be finite.
     """
-    import numpy as np
-
-    def header(width: int) -> tuple[str, ...]:
-        return ("period", "mu", *(f"y{i}" for i in range(1, width - 1)))
-
-    rows = read_rows(source, header, lambda cells: finite_row(cells[1:]))
+    rows = read_rows(source, lambda w: ("period", "mu", *(f"y{i}" for i in range(1, w - 1))),
+                     lambda cells: finite_row(cells[1:]))
     if not rows:
         raise CohortError("history has no data rows")
-    table = np.array(rows)
-    return table[:, 1:], table[:, 0]
+    return [row[1:] for row in rows], [row[0] for row in rows]
 
 
-def parse_newdata_csv(source, k: int) -> tuple[list[str], np.ndarray]:
+def parse_newdata_csv(source, k: int) -> tuple[list[str], list[tuple[float, ...]]]:
     """Read regressor rows to predict from `period,y1,...,yk` rows.
 
-    Returns (period labels, n x k regressor array); zero rows is fine.  A
-    period is written into predictions.csv, so it must need no CSV quoting.
+    Returns (period labels, n regressor rows); zero rows is fine.  A period
+    is written into predictions.csv, so it must need no CSV quoting.
     """
-    import numpy as np
-    header = ("period", *(f"y{i}" for i in range(1, k + 1)))
-    rows = read_rows(source, header,
+    rows = read_rows(source, ("period", *(f"y{i}" for i in range(1, k + 1))),
                      lambda cells: (bare_cell(cells[0], "period"), finite_row(cells[1:])))
-    return ([period for period, _ in rows],
-            np.array([y for _, y in rows], dtype=np.float64).reshape(len(rows), k))
+    return [period for period, _ in rows], [y for _, y in rows]

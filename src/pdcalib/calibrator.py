@@ -330,12 +330,13 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     by 1-D Gauss-Legendre quadrature, independent of the Monte-Carlo path.
 
     The lower mean is int t f_1 (1 - F_2) / int f_1 (1 - F_2), the upper
-    int t f_2 F_1 / int f_2 F_1.  Cells span 0, 1 and, per grade Beta(a, b),
-    inv_logit(log(a/b) + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], with 8
-    nodes each.  F_1 and 1 - F_2 at a node add the cells on its side to a rule
-    on the rest of its cell, so no complement loses digits and no incomplete
-    beta, imprecise near x = 1, is needed.  Needs every shape >= 1 and an
-    acceptance P(theta_1 <= theta_2) of at least 1e-8, or raises ValueError.
+    int t f_2 F_1 / int f_2 F_1.  Cells span 0, 1, per grade Beta(a, b) inv_logit(log(a/b)
+    + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], and e 2^-j for j = 1..20 below the
+    lowest such edge e, where a density goes like t^(a-1), so that non-integer shapes
+    are exact too; 8 nodes a cell.  F_1 and 1 - F_2 at a node add the cells on its side
+    to a rule on the rest of its cell, so no complement loses digits and no incomplete
+    beta, imprecise near x = 1, is needed.  Needs every shape >= 1 and an acceptance
+    P(theta_1 <= theta_2) of at least 1e-8, or raises ValueError.
     """
     if min(p1.alpha, p1.beta, p2.alpha, p2.beta) < 1.0:
         raise ValueError("quadrature oracle requires both shape parameters >= 1")
@@ -343,7 +344,8 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     z = np.linspace(-12.0, 12.0, 101)
     logits = [math.log(p.alpha / p.beta) + z * math.sqrt(1.0 / p.alpha + 1.0 / p.beta)
               for p in (p1, p2)]
-    edges = np.unique(np.concatenate([[0.0, 1.0], 1.0 / (1.0 + np.exp(-np.concatenate(logits)))]))
+    grid = 1.0 / (1.0 + np.exp(-np.concatenate(logits)))
+    edges = np.unique(np.concatenate([[0.0, 1.0], grid, grid.min() * 2.0 ** -np.arange(1, 21)]))
     nodes, weights = np.polynomial.legendre.leggauss(8)
 
     def rule(p, lo, hi):

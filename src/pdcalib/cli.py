@@ -188,7 +188,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from numpy import __version__ as numpy_version
     started = time.perf_counter()
     y_history, mu_history = parse_history_csv(args.history)
     model = fit_regression(y_history, mu_history)
@@ -204,7 +203,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rows = [[period, _fmt(mu)] for period, mu in zip(periods, predict_mean(model, y_new))]
 
     manifest = envelope("predict", started, history=args.history, newdata=args.newdata) | {
-        "numpy_version": numpy_version,
         "n_observations": len(mu_history),
         "n_regressors": len(model.coefficients),
         "n_predictions": len(rows),

@@ -388,7 +388,7 @@ class TestOutputKeys:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == ENVELOPE_KEYS | input_keys("history", "newdata") | {
-            "numpy_version", "n_observations", "n_regressors", "n_predictions", "link"}
+            "n_observations", "n_regressors", "n_predictions", "link"}
         model = json.loads((out / "model.json").read_text())
         assert set(model) == {"manifest", "intercept", "link", "precision",
                               "coefficient_1", "coefficient_2"}
@@ -491,8 +491,8 @@ class TestBadInputCells:
 class TestImportFootprint:
     """Only `calibrate` draws random numbers, so only it loads the sampler and the pool;
     only the test oracle's quadrature loads `numpy.polynomial`, and no command loads
-    `numpy.ma`, which `np.median` and `np.quantile` import.  `compare` works on scalars,
-    so it loads neither numpy nor `statistics`; `calibrate` and `predict` load numpy."""
+    `numpy.ma`, which `np.median` and `np.quantile` import.  `compare` and `predict` work
+    on scalars, so they load neither numpy nor `statistics`; only `calibrate` loads numpy."""
 
     @staticmethod
     def modules_loaded(code: str) -> list[bool]:
@@ -524,13 +524,13 @@ class TestImportFootprint:
                 "--calibration", tmp_path / "calib" / "calibration.csv", "--out", tmp_path / "cmp"]
         assert self.modules_loaded(self.main_code(argv)) == [False] * 6
 
-    def test_predict_loads_numpy(self, tmp_path):
+    def test_predict_loads_no_numpy(self, tmp_path):
         history = tmp_path / "history.csv"
         history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
         newdata = tmp_path / "newdata.csv"
         newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
         argv = ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]
-        assert self.modules_loaded(self.main_code(argv)) == [False] * 4 + [True, False]
+        assert self.modules_loaded(self.main_code(argv)) == [False] * 6
 
 
 def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):

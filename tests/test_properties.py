@@ -1,6 +1,7 @@
 """Property tests on random portfolios and malformed input (hypothesis)."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 stats = pytest.importorskip("scipy.stats")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from scipy import integrate  # noqa: E402
 
 from pdcalib.benchmarks import (central_tendency, parse_external_csv,  # noqa: E402
                                 pluto_tasche, scale_to_ct)
@@ -96,6 +98,47 @@ def test_oracle_matches_scipy_quadrature(p1, p2):
     except ValueError:
         assume(False)  # acceptance below the oracle's 1e-8 floor
     assert got == pytest.approx(scipy_conditional_means(p1, p2), rel=1e-12)
+
+
+
+def quad_conditional_means(p1, p2):
+    """The oracle's two means by adaptive quadrature, which handles the t^(a-1)
+    endpoint by extrapolation rather than by the oracle's cell layout.
+
+    Breakpoints at each grade's mean and mean + {-2, -1, 1, 2, 4, ..., 32} sd keep quad
+    from stepping over a peak narrow on the scale of the other grade.  The lower
+    integrals stop where either density has 1e-30 of its mass left and the upper
+    ones where the upper grade's has, so no wide stretch of near-zero integrand
+    hides a missed peak.
+    """
+    lower, upper = stats.beta(p1.alpha, p1.beta), stats.beta(p2.alpha, p2.beta)
+    marks = {float(d.mean() + z * d.std())
+             for d in (lower, upper) for z in (-2, -1, 0, 1, 2, 4, 8, 16, 32)}
+
+    def conditional_mean(density, hi):
+        points = sorted(x for x in marks if 0.0 < x < hi)
+        mass, first = (integrate.quad(lambda t, k=k: t ** k * density(t), 0.0, hi, points=points,
+                                      epsabs=0.0, epsrel=1e-13, limit=200)[0] for k in (0, 1))
+        return first / mass
+
+    tail1, tail2 = lower.isf(1e-30), upper.isf(1e-30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (conditional_mean(lambda t: lower.pdf(t) * upper.sf(t), min(tail1, tail2)),
+                conditional_mean(lambda t: upper.pdf(t) * lower.cdf(t), tail2))
+
+
+# each example costs about 0.25 s of quadrature
+@settings(max_examples=20, deadline=None)
+@given(st.floats(1.0, 3.0), st.floats(3.0, 1e5), st.floats(1.0, 3.0), st.floats(3.0, 1e5))
+@example(1.13, 40.0, 1.5, 30.0)  # 2.2e-9 off with no cells graded toward 0
+def test_oracle_matches_adaptive_quadrature_on_non_integer_shapes(a1, b1, a2, b2):
+    p1, p2 = BetaParams(a1, b1), BetaParams(a2, b2)
+    try:
+        got = oracle_conditional_means_2grade(p1, p2)
+    except ValueError:
+        assume(False)  # acceptance below the oracle's 1e-8 floor
+    assert got == pytest.approx(quad_conditional_means(p1, p2), rel=1e-12)
 
 
 FILLERS = st.lists(st.sampled_from(["", "   ", "# comment", "#a,b,c"]), max_size=2)
