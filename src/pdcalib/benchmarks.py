@@ -84,7 +84,7 @@ def pluto_tasche(snapshot: CohortSnapshot, confidence: float = 0.75) -> list[flo
             skew = 2.0 * (b - a) * math.sqrt(s + 1.0) / ((s + 2.0) * math.sqrt(a * b))
             x0 = min(max(a / s + sd * (z + skew * (z * z - 1.0) / 6.0), _THETA_LO), _THETA_HI)
             pd = solve_monotone(lambda theta: binomial_tail_le(n, d, theta), 1.0 - confidence,
-                                _THETA_LO, _THETA_HI, tol=1e-12, fprime=tail_slope, x0=x0)
+                                _THETA_LO, _THETA_HI, fprime=tail_slope, x0=x0)
         floor = max(floor, pd)
         pds.append(floor)
     return pds

@@ -18,14 +18,14 @@ One such converged sweep yields a fitted shape pair and a calibrated mean
 per grade.  Repeating the sweep ``k_reps`` times from the raw posteriors
 (the label -> Beta mapping of ``cohorts.compute_posterior``, best grade
 first), each repetition on its own random stream, yields a sampling
-distribution per grade from which the point estimate, median and
-confidence bounds are reported.  The repetitions run on threads of this one
-process (the beta sampler and numpy's array loops release the interpreter
-lock); results are bit-reproducible for a fixed (seed, config, data, numpy
-version) regardless of the thread count.  ``calibrate`` is the only caller
-of ``rng_stream`` and the only user of a thread pool.  numpy, its sampler
-and ``concurrent.futures`` are imported when a function that uses them
-runs, not with the module.
+distribution per grade from which the point estimate, median, confidence
+bounds and Monte-Carlo standard error are reported.  The repetitions run
+on threads of this one process (the beta sampler and numpy's array loops
+release the interpreter lock); results are bit-reproducible for a fixed
+(seed, config, data, numpy version) regardless of the thread count.
+``calibrate`` is the only caller of ``rng_stream`` and the only user of a
+thread pool.  numpy, its sampler and ``concurrent.futures`` are imported
+when a function that uses them runs, not with the module.
 ``oracle_conditional_means_2grade`` gives one pair step's means as n_sim grows
 without bound, by 1-D Gauss-Legendre quadrature: the filter's test reference.
 """
@@ -134,16 +134,19 @@ class CalibrationResult:
     Point estimates are means over repetitions; the confidence bounds are
     the empirical (1-ci)/2 and 1-(1-ci)/2 quantiles of the per-repetition
     calibrated means (linear interpolation between order statistics).
-    ``sweep_means`` keeps the full k_reps x n_grades matrix for histogram
-    export.  ``alpha_hat``/``beta_hat`` are arithmetic means of the
-    per-repetition fitted shapes; ``draws_total`` and ``topup_blocks_total``
-    are the sweeps' counts summed.
+    ``mc_se`` is the Monte-Carlo standard error of each point estimate, the
+    repetition means' sample sd over sqrt(k_reps), or None for every grade
+    when k_reps is 1.  ``sweep_means`` keeps the full k_reps x n_grades
+    matrix for histogram export.  ``alpha_hat``/``beta_hat`` are arithmetic
+    means of the per-repetition fitted shapes; ``draws_total`` and
+    ``topup_blocks_total`` are the sweeps' counts summed.
     """
 
     grade_means: tuple[float, ...]
     grade_medians: tuple[float, ...]
     ci_lower: tuple[float, ...]
     ci_upper: tuple[float, ...]
+    mc_se: tuple[float | None, ...]
     alpha_hat: tuple[float, ...]
     beta_hat: tuple[float, ...]
     sweep_means: np.ndarray
@@ -315,6 +318,8 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
         grade_medians=tuple(float(v) for v in (ordered[(k - 1) // 2] + ordered[k // 2]) / 2),
         ci_lower=tuple(float(v) for v in quantile(tail)),
         ci_upper=tuple(float(v) for v in quantile(1.0 - tail)),
+        mc_se=(tuple(float(v) for v in mean_matrix.std(axis=0, ddof=1) / math.sqrt(k))
+               if k > 1 else (None,) * len(post)),
         alpha_hat=tuple(float(v) for v in alphas.mean(axis=0)),
         beta_hat=tuple(float(v) for v in betas.mean(axis=0)),
         sweep_means=mean_matrix,
@@ -370,8 +375,9 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     return float((t * lower).sum()) / acceptance, float((t * upper).sum() / upper.sum())
 
 
-def export_histograms(result: CalibrationResult) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
-    """Per-grade ``(bin edges, counts)`` of the k_reps sweep means.
+def export_histograms(sweep_means: np.ndarray) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
+    """Per-grade ``(bin edges, counts)`` of a k_reps x n_grades matrix of sweep means
+    (``CalibrationResult.sweep_means``).
 
     ``_HIST_BINS`` fixed-width bins span that grade's min..max, so there is
     one more edge than counts; a degenerate grade (all repetitions equal)
@@ -379,7 +385,7 @@ def export_histograms(result: CalibrationResult) -> list[tuple[tuple[float, ...]
     """
     import numpy as np
     out = []
-    for values in result.sweep_means.T:
+    for values in sweep_means.T:
         lo, hi = float(values.min()), float(values.max())
         if lo == hi:
             out.append(((lo, hi), (int(values.size),)))

@@ -21,7 +21,6 @@ Exit codes: 0 success, 2 input validation, 3 numeric/algorithmic failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -103,14 +102,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
              *(_fmt(column[i]) for column in columns)] for i, gc in enumerate(snapshot.grades)]
     files = {"calibration.csv": csv_text(CALIBRATION_HEADER, rows)}
     if args.emit_histograms:
-        for gc, (edges, counts) in zip(snapshot.grades, export_histograms(result)):
+        for gc, (edges, counts) in zip(snapshot.grades, export_histograms(result.sweep_means)):
             hist_rows = [[_fmt(lo), _fmt(hi), count]
                          for lo, hi, count in zip(edges, edges[1:], counts)]
             files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"), hist_rows)
-
-    # Monte-Carlo standard error of each reported mean; one repetition has none
-    mc_se = ((result.sweep_means.std(axis=0, ddof=1) / math.sqrt(cfg.k_reps)).tolist()
-             if cfg.k_reps > 1 else [None] * len(snapshot.grades))
     manifest = envelope("calibrate", started, input=args.input) | {
         "numpy_version": numpy_version,
         "period": snapshot.period,
@@ -128,7 +123,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "topup_blocks_total": result.topup_blocks_total,
         "warnings": "; ".join(warnings),
         **_numbered("acceptance_rate_pair_", result.pair_acceptance),
-        **_numbered("mc_se_grade_", mc_se),
+        **_numbered("mc_se_grade_", result.mc_se),
     }
     write_outputs(args.out, files, manifest)
     # histograms of an earlier run into this directory no longer match its manifest

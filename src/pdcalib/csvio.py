@@ -3,11 +3,11 @@
 Inputs: UTF-8, a header row before any data, blank and ``#`` lines
 skipped, cells stripped, every data row as wide as the header.  A format
 is a header plus a row converter on ``read_rows``, and any error names the
-file's physical line.  Converters read numbers with ``finite`` (one
-cell, or ``probability`` for one in [0, 1]) or ``finite_row`` (a row's
-numbers in one step) and names that reach a result file with
-``bare_cell``.  Results: ``write_outputs`` stages a command's files and
-moves them into place only when all are written, manifest last.
+file's physical line.  Converters read numbers with ``finite_row`` (a
+row's numbers in one step) or ``probability`` (one cell in [0, 1]) and
+names that reach a result file with ``bare_cell``.  Results:
+``write_outputs`` stages a command's files and moves them into place only
+when all are written, manifest last.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Callable, Sequence, TypeVar
 
 from . import __version__
 
-__all__ = ["CohortError", "read_rows", "finite", "finite_row", "probability", "bare_cell",
-           "csv_text", "json_text", "write_outputs", "envelope"]
+__all__ = ["CohortError", "read_rows", "finite_row", "probability", "bare_cell", "csv_text",
+           "json_text", "write_outputs", "envelope"]
 
 MANIFEST = "manifest.json"
 
@@ -96,14 +96,9 @@ def finite_row(cells: Sequence[str]) -> tuple[float, ...]:
     return values
 
 
-def finite(cell: str) -> float:
-    """The number in ``cell``; ValueError for text, ``nan`` and infinities."""
-    return finite_row((cell,))[0]
-
-
 def probability(cell: str, what: str) -> float:
-    """``finite(cell)`` if it lies in [0, 1]; ValueError naming ``what`` otherwise."""
-    value = finite(cell)
+    """The number in ``cell`` if it lies in [0, 1]; ValueError naming ``what`` otherwise."""
+    (value,) = finite_row((cell,))
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{what} must lie in [0, 1], got {cell}")
     return value

@@ -30,6 +30,7 @@ __all__ = ["BetaParams", "rng_stream", "BracketError", "ConvergenceError", "samp
 
 _U64_MAX = (1 << 64) - 1
 _SOLVE_MAX_STEPS = 200
+_SOLVE_TOL = 1e-12
 
 
 class BracketError(ValueError):
@@ -197,24 +198,21 @@ def binomial_tail_le(n: int, d: int, theta: float) -> float:
     return _inc_beta(1.0 - theta, theta, float(n - d), d + 1.0)
 
 
-def solve_monotone(f, target: float, lo: float, hi: float, tol: float = 1e-12,
-                   fprime=None, x0: float | None = None) -> float:
-    """Solve ``f(x) = target`` for monotone ``f`` on [lo, hi].
+def solve_monotone(f, target: float, lo: float, hi: float, *, fprime, x0: float) -> float:
+    """Solve ``f(x) = target`` for monotone ``f`` with slope ``fprime`` on [lo, hi].
 
-    A safeguarded Newton iteration ("rtsafe"): starting from ``x0`` (by
-    default the midpoint), each step evaluates ``f``, shrinks the bracket
-    to the side that holds the root, then takes the Newton step when
-    ``fprime`` is given and the step lands strictly inside the bracket, and
-    the bracket midpoint otherwise.  Without ``fprime`` this is bisection.
+    A safeguarded Newton iteration ("rtsafe"): starting from ``x0``, each
+    step evaluates ``f``, shrinks the bracket to the side that holds the
+    root, then takes the Newton step when the slope is nonzero and the step
+    lands strictly inside the bracket, and the bracket midpoint otherwise.
     The solve is done when ``f`` hits the target exactly or its step is at
-    most ``tol`` relative to the new point.  Raises BracketError when the
-    target is not enclosed, and ConvergenceError when it is not done within
-    the iteration cap.
+    most ``_SOLVE_TOL`` relative to the new point.  Raises BracketError when
+    the target is not enclosed, and ConvergenceError when it is not done
+    within the iteration cap.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    x = 0.5 * (lo + hi) if x0 is None else x0
-    if not lo <= x <= hi:
+    if not lo <= x0 <= hi:
         raise ValueError("x0 must lie inside [lo, hi]")
     f_lo, f_hi = f(lo) - target, f(hi) - target
     if f_lo * f_hi > 0.0:
@@ -225,6 +223,7 @@ def solve_monotone(f, target: float, lo: float, hi: float, tol: float = 1e-12,
     if f_hi == 0.0:
         return hi
     increasing = f_hi > f_lo
+    x = x0
     for _ in range(_SOLVE_MAX_STEPS):
         fx = f(x) - target
         if fx == 0.0:
@@ -234,18 +233,17 @@ def solve_monotone(f, target: float, lo: float, hi: float, tol: float = 1e-12,
         else:
             lo = x
         nxt = 0.5 * (lo + hi)
-        if fprime is not None:
-            slope = fprime(x)
-            if slope != 0.0:
-                newton = x - fx / slope
-                # a zero step leaves x at the bracket end it just became
-                if lo < newton < hi or newton == x:
-                    nxt = newton
-        if abs(nxt - x) <= tol * abs(nxt):
+        slope = fprime(x)
+        if slope != 0.0:
+            newton = x - fx / slope
+            # a zero step leaves x at the bracket end it just became
+            if lo < newton < hi or newton == x:
+                nxt = newton
+        if abs(nxt - x) <= _SOLVE_TOL * abs(nxt):
             return nxt
         x = nxt
     raise ConvergenceError(
-        f"solve_monotone: root not within relative tolerance {tol:g} "
+        f"solve_monotone: root not within relative tolerance {_SOLVE_TOL:g} "
         f"after {_SOLVE_MAX_STEPS} steps")
 
 

@@ -7,6 +7,7 @@ shared.  Expected wall time for the whole module: a few minutes on a
 """
 
 import math
+import os
 from statistics import NormalDist
 
 import numpy as np
@@ -19,7 +20,7 @@ from pdcalib.cli import main
 from pdcalib.cohorts import CohortSnapshot, GradeCount, compute_posterior
 from pdcalib.statdist import BetaParams, rng_stream
 
-WORKERS = 2
+WORKERS = os.cpu_count() or 1  # the CLI's --threads default
 
 # published reference values (decimals) and this suite's tolerances
 MEANS_2016 = (0.0005, 0.0009, 0.0013, 0.0022, 0.0300, 0.0348, 0.1077, 0.1564)
@@ -49,7 +50,7 @@ def test_01_table_reproduction_2016(calib_2016_full):
     detail = " ".join(f"g{i + 1}:{100 * d:+.3f}pp" for i, d in enumerate(diffs))
     report("01 calibrated-means-2016 (n_sim=100k, k_reps=300)", ok, detail)
     # reported interval sits inside each grade's histogram span by construction
-    for (edges, _), lo, hi in zip(export_histograms(calib_2016_full),
+    for (edges, _), lo, hi in zip(export_histograms(calib_2016_full.sweep_means),
                                   calib_2016_full.ci_lower, calib_2016_full.ci_upper):
         assert edges[0] <= lo <= hi <= edges[-1]
 

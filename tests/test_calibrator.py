@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdcalib import calibrator
-from pdcalib.calibrator import (CalibrationConfig, CalibrationResult, InsufficientAcceptanceError,
+from pdcalib.calibrator import (CalibrationConfig, InsufficientAcceptanceError,
                                 SweepNotConvergedError, VarianceTooLargeError, calibrate,
                                 export_histograms, fit_beta_moments,
                                 oracle_conditional_means_2grade, run_sweep)
@@ -278,6 +278,7 @@ class TestCalibrate:
         cfg = CalibrationConfig(n_sim=2000, k_reps=1, seed=2)
         res = calibrate(self.make_post(), cfg)
         assert res.grade_means == res.grade_medians == res.ci_lower == res.ci_upper
+        assert res.mc_se == (None,) * len(res.grade_means)
 
     def test_quantile_ordering_and_monotone_means(self):
         cfg = CalibrationConfig(n_sim=2000, k_reps=12, seed=5)
@@ -309,32 +310,18 @@ class TestCalibrate:
         post = portfolio(BetaParams(3, 97), BetaParams(5, 95))
         small = calibrate(post, CalibrationConfig(n_sim=1000, k_reps=300, seed=21))
         large = calibrate(post, CalibrationConfig(n_sim=1000, k_reps=1200, seed=21))
-        for j in range(2):
-            se_small = small.sweep_means[:, j].std(ddof=1) / math.sqrt(300)
-            se_large = large.sweep_means[:, j].std(ddof=1) / math.sqrt(1200)
+        for se_small, se_large in zip(small.mc_se, large.mc_se):
             assert se_small / se_large == pytest.approx(2.0, rel=0.25)
 
 
 class TestHistograms:
-    def _result(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        m = matrix.shape[1]
-        return CalibrationResult(
-            grade_means=tuple(matrix.mean(axis=0)), grade_medians=tuple(np.median(matrix, axis=0)),
-            ci_lower=tuple(matrix.min(axis=0)), ci_upper=tuple(matrix.max(axis=0)),
-            alpha_hat=(1.0,) * m, beta_hat=(1.0,) * m, sweep_means=matrix,
-            pair_acceptance=(1.0,) * (m - 1), passes=(1,) * matrix.shape[0], draws_total=0,
-            topup_blocks_total=0)
-
     def test_degenerate_single_bin(self):
-        res = self._result(np.full((300, 1), 0.05))
-        (hist,) = export_histograms(res)
+        (hist,) = export_histograms(np.full((300, 1), 0.05))
         assert hist == ((0.05, 0.05), (300,))
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(8)
-        res = self._result(rng.uniform(0.01, 0.09, size=(300, 2)))
-        for edges, counts in export_histograms(res):
+        for edges, counts in export_histograms(rng.uniform(0.01, 0.09, size=(300, 2))):
             assert sum(counts) == 300
             assert len(counts) == calibrator._HIST_BINS
             assert len(edges) == len(counts) + 1
@@ -342,7 +329,6 @@ class TestHistograms:
     def test_span_covers_all_values(self):
         rng = np.random.default_rng(9)
         matrix = rng.normal(0.1, 0.005, size=(200, 1)).clip(0.01, 0.99)
-        res = self._result(matrix)
-        ((edges, _),) = export_histograms(res)
+        ((edges, _),) = export_histograms(matrix)
         assert edges[0] == pytest.approx(matrix.min())
         assert edges[-1] == pytest.approx(matrix.max())

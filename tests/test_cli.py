@@ -282,6 +282,18 @@ class TestCompareCommand:
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_pretty_prints_percentages(self, tame_csv, tmp_path, capsys):
+        calibration = self.setup_outputs(tame_csv, tmp_path)
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
+                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp"), "--pretty"])
+        assert rc == 0
+        title, header, *rows = capsys.readouterr().out.splitlines()
+        assert title == "Scaled PD comparison, period T1 (central tendency 1.67%)"
+        assert header.split() == ["order", "label", "simulated", "pluto_tasche"]
+        assert [row.split()[:2] for row in rows] == [["1", "A"], ["2", "B"], ["3", "C"]]
+        assert all(re.fullmatch(r"\d+\.\d\d%", cell) for row in rows for cell in row.split()[2:])
+
 
 class TestPredictCommand:
     def write_history(self, tmp_path, text):
@@ -327,6 +339,21 @@ class TestPredictCommand:
                    "--out", str(tmp_path / "pred")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_pretty_prints_percentages(self, tmp_path, capsys):
+        # noiseless history on logit(mu) = -1 + y / 2
+        history = self.write_history(tmp_path, "period,mu,y1\n" + "".join(
+            f"p{y},{1.0 / (1.0 + math.exp(1.0 - y / 2.0))!r},{y}\n" for y in (0, 1, 3)))
+        newdata = tmp_path / "new.csv"
+        for text, want in (("period,y1\nf1,2\nf2,4\n", [["f1", "50.00%"], ["f2", "73.11%"]]),
+                           ("period,y1\n", [["(none)", "-"]])):
+            newdata.write_text(text, encoding="utf-8")
+            assert main(["predict", "--history", str(history), "--newdata", str(newdata),
+                         "--out", str(tmp_path / "pred"), "--pretty"]) == 0
+            title, header, *rows = capsys.readouterr().out.splitlines()
+            assert title == "Predicted means"
+            assert header.split() == ["period", "mu"]
+            assert [row.split() for row in rows] == want
 
 
 ENVELOPE_KEYS = {"command", "tool_version", "duration_seconds"}

@@ -208,29 +208,37 @@ class TestBinomialTail:
 
 class TestSolveMonotone:
     def test_identity(self):
-        assert solve_monotone(lambda x: x, 0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
+        root = solve_monotone(lambda x: x, 0.25, 0.0, 1.0, fprime=lambda x: 1.0, x0=0.5)
+        assert root == pytest.approx(0.25, abs=1e-12)
 
     def test_decreasing_closed_form(self):
         # (1 - x)^100 = 0.25  =>  x = 1 - 0.25^(1/100)
-        root = solve_monotone(lambda x: (1.0 - x) ** 100, 0.25, 0.0, 1.0)
+        root = solve_monotone(lambda x: (1.0 - x) ** 100, 0.25, 0.0, 1.0,
+                              fprime=lambda x: -100.0 * (1.0 - x) ** 99, x0=0.5)
         assert root == pytest.approx(1.0 - 0.25 ** 0.01, abs=1e-10)
 
     def test_binomial_tail_inversion(self):
-        root = solve_monotone(lambda t: binomial_tail_le(29, 1, t), 0.25, 1e-9, 1.0 - 1e-9)
+        def slope(t):
+            # d/dt (1 - t)^28 (1 + 28 t)
+            return -812.0 * t * (1.0 - t) ** 27
+
+        root = solve_monotone(lambda t: binomial_tail_le(29, 1, t), 0.25, 1e-9, 1.0 - 1e-9,
+                              fprime=slope, x0=0.5)
         expected = solve_monotone(lambda t: (1.0 - t) ** 28 * (1.0 + 28.0 * t),
-                                  0.25, 1e-9, 1.0 - 1e-9)
+                                  0.25, 1e-9, 1.0 - 1e-9, fprime=slope, x0=0.5)
         assert root == pytest.approx(expected, abs=1e-9)
         assert root == pytest.approx(0.0900, abs=5e-4)
 
     def test_bracket_error(self):
         with pytest.raises(BracketError, match="target 2.0 not enclosed"):
-            solve_monotone(lambda x: x, 2.0, 0.0, 1.0)
+            solve_monotone(lambda x: x, 2.0, 0.0, 1.0, fprime=lambda x: 1.0, x0=0.5)
 
     def test_endpoint_hit(self):
-        assert solve_monotone(lambda x: x, 0.0, 0.0, 1.0) == 0.0
+        assert solve_monotone(lambda x: x, 0.0, 0.0, 1.0, fprime=lambda x: 1.0, x0=0.5) == 0.0
 
     def test_newton_needs_few_evaluations(self):
-        # (1 - x)^100 = 0.25 from the Beta(1, 100) mean, as pluto_tasche starts
+        # (1 - x)^100 = 0.25 from the Beta(1, 100) mean, as pluto_tasche starts;
+        # a zero slope makes every step the bracket midpoint
         calls = {"newton": 0, "bisection": 0}
 
         def counted(kind):
@@ -241,7 +249,8 @@ class TestSolveMonotone:
 
         newton = solve_monotone(counted("newton"), 0.25, 0.0, 1.0, x0=1.0 / 101.0,
                                 fprime=lambda x: -100.0 * (1.0 - x) ** 99)
-        bisection = solve_monotone(counted("bisection"), 0.25, 0.0, 1.0, x0=1.0 / 101.0)
+        bisection = solve_monotone(counted("bisection"), 0.25, 0.0, 1.0, x0=1.0 / 101.0,
+                                   fprime=lambda x: 0.0)
         root = -math.expm1(math.log(0.25) / 100.0)
         assert newton == pytest.approx(root, rel=1e-13)
         assert bisection == pytest.approx(root, rel=1e-11)
@@ -251,7 +260,7 @@ class TestSolveMonotone:
     def test_step_cap_raises_instead_of_returning_midpoint(self):
         # bisection from [0, 1] needs ~1000 halvings to reach 1e-300
         with pytest.raises(ConvergenceError, match="after 200 steps"):
-            solve_monotone(lambda x: x, 1e-300, 0.0, 1.0)
+            solve_monotone(lambda x: x, 1e-300, 0.0, 1.0, fprime=lambda x: 0.0, x0=0.5)
 
 
 class TestNormalQuantile:
