@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .statdist import BetaParams, log_beta, rng_stream, sample_beta
+from .statdist import BetaParams, NumericError, log_beta, rng_stream, sample_beta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,15 +74,15 @@ _CHUNK = 32_768
 _HIST_BINS = 30
 
 
-class VarianceTooLargeError(ValueError):
+class VarianceTooLargeError(NumericError, ValueError):
     """Sample variance admits no beta distribution (degenerate filtered sample)."""
 
 
-class InsufficientAcceptanceError(RuntimeError):
+class InsufficientAcceptanceError(NumericError, RuntimeError):
     """Too few simulated pairs satisfied the order constraint, even after top-ups."""
 
 
-class SweepNotConvergedError(RuntimeError):
+class SweepNotConvergedError(NumericError, RuntimeError):
     """Fitted means failed to become monotone within the pass budget."""
 
 
@@ -292,7 +292,7 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
     def sweep(rep: int) -> SweepResult:
         try:
             return run_sweep(post, cfg, rng_stream(cfg.seed, rep))
-        except (VarianceTooLargeError, InsufficientAcceptanceError, SweepNotConvergedError) as exc:
+        except NumericError as exc:
             raise type(exc)(f"repetition {rep}: {exc}") from None
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -34,22 +34,19 @@ from .benchmarks import (align_external, build_comparison, central_tendency, par
 from .betareg import LINK, parse_history_csv, parse_newdata_csv, predict_mean
 from .betareg import fit as fit_regression
 from .calibrator import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
-                         InsufficientAcceptanceError, SweepNotConvergedError,
-                         VarianceTooLargeError, calibrate, export_histograms)
+                         calibrate, export_histograms)
 from .cohorts import (CohortError, CohortSnapshot, compute_posterior, observed_default_rates,
                       parse_cohort_csv)
 from .csvio import MANIFEST, csv_text, envelope, json_text, probability, read_rows, write_outputs
-from .statdist import BracketError, ConvergenceError
+from .statdist import NumericError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_NUMERIC_ERRORS = (InsufficientAcceptanceError, SweepNotConvergedError,
-                   VarianceTooLargeError, BracketError, ConvergenceError)
-
 CALIBRATION_HEADER = ("grade_order", "label", "n", "d", "observed_rate",
                       "alpha_hat", "beta_hat", "mean", "median", "ci_lo", "ci_hi")
+_MEAN = CALIBRATION_HEADER.index("mean")
 
 
 def _select_snapshot(snapshots, period: str) -> CohortSnapshot:
@@ -60,20 +57,18 @@ def _select_snapshot(snapshots, period: str) -> CohortSnapshot:
     raise CohortError(f"period {period!r} not in input (available: {available})")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _pct(value: float) -> str:
+    return f"{100.0 * value:.2f}%"
 
 
 def _print_pretty(title: str, header, rows) -> None:
+    """``title``, then ``rows`` as an aligned table with float cells as percentages."""
     print(title)
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) for i, h in enumerate(header)]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
+    rows = [[_pct(cell) if isinstance(cell, float) else str(cell) for cell in row] for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-
-
-def _pct(value: float) -> str:
-    return f"{100.0 * value:.2f}%"
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
 def _numbered(prefix: str, values) -> dict:
@@ -94,18 +89,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
 
-    observed = observed_default_rates(snapshot)
-    # per-grade columns after observed_rate, in CALIBRATION_HEADER order
-    columns = (result.alpha_hat, result.beta_hat, result.grade_means, result.grade_medians,
-               result.ci_lower, result.ci_upper)
-    rows = [[gc.order, gc.label, gc.performing_start, gc.defaults_end, _fmt(observed[i]),
-             *(_fmt(column[i]) for column in columns)] for i, gc in enumerate(snapshot.grades)]
+    # per-grade cells in CALIBRATION_HEADER order
+    rows = [[gc.order, gc.label, gc.performing_start, gc.defaults_end, *cells]
+            for gc, *cells in zip(snapshot.grades, observed_default_rates(snapshot),
+                                  result.alpha_hat, result.beta_hat, result.grade_means,
+                                  result.grade_medians, result.ci_lower, result.ci_upper)]
     files = {"calibration.csv": csv_text(CALIBRATION_HEADER, rows)}
     if args.emit_histograms:
         for gc, (edges, counts) in zip(snapshot.grades, export_histograms(result.sweep_means)):
-            hist_rows = [[_fmt(lo), _fmt(hi), count]
-                         for lo, hi, count in zip(edges, edges[1:], counts)]
-            files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"), hist_rows)
+            files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"),
+                                                     zip(edges, edges[1:], counts))
     manifest = envelope("calibrate", started, input=args.input) | {
         "numpy_version": numpy_version,
         "period": snapshot.period,
@@ -132,11 +125,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             stale.unlink()
 
     if args.pretty:
-        pretty = [[gc.order, gc.label, *(_pct(column[i]) for column in columns[2:])]
-                  for i, gc in enumerate(snapshot.grades)]
         _print_pretty(f"Calibrated PDs, period {snapshot.period} "
                       f"(n_sim={cfg.n_sim}, k_reps={cfg.k_reps})",
-                      ("order", "label", "mean", "median", "ci_lo", "ci_hi"), pretty)
+                      ("order", "label", *CALIBRATION_HEADER[_MEAN:]),
+                      [row[:2] + row[_MEAN:] for row in rows])
     return EXIT_OK
 
 
@@ -144,8 +136,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     # (grade order, label, mean) of each calibrated grade
-    calibrated = read_rows(args.calibration, CALIBRATION_HEADER,
-                           lambda cells: (int(cells[0]), cells[1], probability(cells[7], "mean")))
+    calibrated = read_rows(args.calibration, CALIBRATION_HEADER, lambda cells: (
+        int(cells[0]), cells[1], probability(cells[_MEAN], "mean")))
     if [row[:2] for row in calibrated] != [(g.order, g.label) for g in snapshot.grades]:
         raise CohortError(
             "calibration column mismatch: grade orders/labels differ from the input period")
@@ -158,7 +150,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     methods = list(columns)
     header = ("grade_order", "label", *methods)
-    rows = [[g.order, g.label, *(_fmt(columns[m][i]) for m in methods)]
+    rows = [[g.order, g.label, *(columns[m][i] for m in methods)]
             for i, g in enumerate(snapshot.grades)]
 
     manifest = envelope("compare", started, input=args.input, calibration=args.calibration,
@@ -174,11 +166,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     write_outputs(args.out, {"comparison.csv": csv_text(header, rows)}, manifest)
 
     if args.pretty:
-        pretty = [[g.order, g.label, *(_pct(columns[m][i]) for m in methods)]
-                  for i, g in enumerate(snapshot.grades)]
         _print_pretty(f"Scaled PD comparison, period {snapshot.period} "
-                      f"(central tendency {_pct(ct)})",
-                      ("order", "label", *methods), pretty)
+                      f"(central tendency {_pct(ct)})", ("order", "label", *methods), rows)
     return EXIT_OK
 
 
@@ -195,7 +184,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "precision": model.precision,
         **_numbered("coefficient_", model.coefficients),
     }
-    rows = [[period, _fmt(mu)] for period, mu in zip(periods, predict_mean(model, y_new))]
+    rows = list(zip(periods, predict_mean(model, y_new)))
 
     manifest = envelope("predict", started, history=args.history, newdata=args.newdata) | {
         "n_observations": len(mu_history),
@@ -207,8 +196,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                              "predictions.csv": csv_text(("period", "mu"), rows)}, manifest)
 
     if args.pretty:
-        _print_pretty("Predicted means", ("period", "mu"),
-                      [[p, _pct(float(m))] for p, m in rows] or [["(none)", "-"]])
+        _print_pretty("Predicted means", ("period", "mu"), rows or [("(none)", "-")])
     return EXIT_OK
 
 
@@ -258,10 +246,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    # first, since BracketError and VarianceTooLargeError are also ValueErrors
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CohortError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -114,7 +114,8 @@ def bare_cell(text: str, what: str) -> str:
 
 
 def csv_text(header: Sequence[str], rows) -> str:
-    """A result CSV: the manifest reference, the header, then one line per row."""
+    """A result CSV: the manifest reference, the header, then one line per row,
+    each cell as ``str`` writes it (a float as its shortest round-trip repr)."""
     lines = [f"# manifest: {MANIFEST}", ",".join(header)]
     lines.extend(",".join(str(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"

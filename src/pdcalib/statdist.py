@@ -25,19 +25,24 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["BetaParams", "rng_stream", "BracketError", "ConvergenceError", "sample_beta",
-           "log_beta", "binomial_tail_le", "solve_monotone"]
+__all__ = ["BetaParams", "rng_stream", "NumericError", "BracketError", "ConvergenceError",
+           "sample_beta", "log_beta", "binomial_tail_le", "solve_monotone"]
 
 _U64_MAX = (1 << 64) - 1
 _SOLVE_MAX_STEPS = 200
 _SOLVE_TOL = 1e-12
 
 
-class BracketError(ValueError):
+class NumericError(Exception):
+    """A numeric or algorithmic failure, exit 3 of the CLI.  Each subclass also
+    keeps a built-in base, ValueError or RuntimeError."""
+
+
+class BracketError(NumericError, ValueError):
     """The root-finder target is not enclosed by the supplied interval."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericError, RuntimeError):
     """An iterative kernel ran out of its iteration budget before converging."""
 
 
@@ -58,15 +63,15 @@ class BetaParams:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Reproducible, partitionable source of random variates.
 
     A numpy ``Generator`` on an SFC64 bit generator seeded by
     ``SeedSequence(seed, spawn_key=(stream_id,))``, numpy's scheme for
-    independent parallel streams: the same ``(seed, stream_id)`` always
-    replays the same sequence, and distinct pairs hash to unrelated
-    256-bit starting states.  SFC64's 64-bit counter guarantees each
-    stream a period of at least 2**64 draws.  A stream holds mutable
+    independent parallel streams: the same ``(seed, stream_id)``, both
+    required, always replays the same sequence, and distinct pairs hash to
+    unrelated 256-bit starting states.  SFC64's 64-bit counter guarantees
+    each stream a period of at least 2**64 draws.  A stream holds mutable
     position state and must be owned by exactly one consumer at a time;
     creating one is cheap.  For a fixed key the variates also depend on
     the numpy version, which does not promise stable distribution streams

@@ -165,6 +165,10 @@ class TestFit:
         with pytest.raises(ValueError, match="2 means for 3 regressor rows"):
             fit([[0.0], [1.0], [2.0]], [0.1, 0.2])
 
+    def test_empty_history(self):
+        with pytest.raises(ValueError, match="history is empty"):
+            fit([], [])
+
 
 class TestHistoryCsv:
     def test_parse(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pdcalib
-from pdcalib import calibrator, csvio, statdist
+from pdcalib import calibrator, cli, csvio, statdist
 from pdcalib.cli import main
 from pdcalib.cohorts import compute_posterior, parse_cohort_csv
 
@@ -135,6 +135,17 @@ class TestCalibrateCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "order constraint" in err and "too far inverted" in err
+
+    def test_variance_error_exits_3_with_its_repetition(self, tame_csv, tmp_path, monkeypatch,
+                                                        capsys):
+        def fail(mean, sd):
+            raise calibrator.VarianceTooLargeError("no beta distribution has this variance")
+
+        # a ValueError too, so the numeric exit must be chosen before the input one
+        monkeypatch.setattr(calibrator, "fit_beta_moments", fail)
+        assert run_calibrate(tame_csv, tmp_path / "out", k_reps=1) == 3
+        assert "repetition 0: no beta distribution" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_thin_acceptance_names_a_workable_n_sim(self, fixture_csv, tmp_path, capsys):
         # period 2016 keeps about 0.1% of pair 5's draws: 2000 is too few
@@ -271,6 +282,19 @@ class TestCompareCommand:
                    "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
         assert rc == 3
         assert "did not converge" in capsys.readouterr().err
+
+    def test_bracket_error_exits_3_not_2(self, tame_csv, tmp_path, monkeypatch, capsys):
+        calibration = self.setup_outputs(tame_csv, tmp_path)
+
+        def fail(snapshot, confidence):
+            raise statdist.BracketError("target 0.75 not enclosed")
+
+        # BracketError is also a ValueError, which alone would mean exit 2
+        monkeypatch.setattr(cli, "pluto_tasche", fail)
+        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
+                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+        assert rc == 3
+        assert "error: target 0.75 not enclosed" in capsys.readouterr().err
 
     def test_mismatched_calibration_exits_2(self, tame_csv, tmp_path, capsys):
         calibration = self.setup_outputs(tame_csv, tmp_path)
@@ -422,10 +446,31 @@ class TestOutputKeys:
         assert manifest["link"] == model["link"] == "logit"
 
 
-@pytest.mark.parametrize("option", ["--input", "--calibration", "--external", "--history",
-                                    "--newdata"])
-def test_missing_input_exits_2(tame_csv, tmp_path, capsys, option):
+@pytest.mark.parametrize("cls,base", [
+    (statdist.BracketError, ValueError), (calibrator.VarianceTooLargeError, ValueError),
+    (statdist.ConvergenceError, RuntimeError),
+    (calibrator.InsufficientAcceptanceError, RuntimeError),
+    (calibrator.SweepNotConvergedError, RuntimeError)])
+def test_numeric_errors_share_one_base_and_keep_their_own(cls, base):
+    assert issubclass(cls, statdist.NumericError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("option,text,message", [
+    *(pytest.param(option, None, "{path}", id=option)
+      for option in ("--input", "--calibration", "--external", "--history", "--newdata")),
+    pytest.param("--input", "", "{path}: missing header", id="--input-empty"),
+    pytest.param("--input", TAME_CSV.splitlines()[0] + "\n", "no cohort rows found",
+                 id="--input-header-only"),
+    pytest.param("--external", "grade_order,method_name,pd\n", "no external method rows found",
+                 id="--external-header-only"),
+    pytest.param("--history", "period,mu,y1\n", "history has no data rows",
+                 id="--history-header-only"),
+])
+def test_missing_input_exits_2(tame_csv, tmp_path, capsys, option, text, message):
+    """An input file that is missing, empty or without data rows."""
     missing = tmp_path / "nope.csv"
+    if text is not None:
+        missing.write_text(text, encoding="utf-8")
     assert run_calibrate(tame_csv, tmp_path / "calib") == 0
     calibration = tmp_path / "calib" / "calibration.csv"
     history = tmp_path / "history.csv"
@@ -439,7 +484,7 @@ def test_missing_input_exits_2(tame_csv, tmp_path, capsys, option):
         "--newdata": ["predict", "--history", history, "--newdata", missing],
     }[option]
     assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 2
-    assert str(missing) in capsys.readouterr().err
+    assert message.format(path=missing) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -496,6 +541,7 @@ class TestBadInputCells:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind,row,message", [
+        ("cohort", "T1,1,B,900,7", "duplicate grade order 1 in period T1"),
         ("external", "2,q,nan", "non-finite number 'nan'"),
         ("external", "2,q,inf", "non-finite number 'inf'"),
         ("external", "2,q,-0.01", "pd must lie in [0, 1], got -0.01"),

@@ -110,7 +110,7 @@ class TestSampleBeta:
             assert d_stat < critical, f"KS {d_stat:.5f} for Beta({a:.3g},{b:.3g})"
 
 
-class TestBetaCdf:
+class TestBinomialTailComplement:
     # I_theta(d + 1, n - d), the Beta(d + 1, n - d) cdf at theta, is
     # 1 - binomial_tail_le(n, d, theta)
 
@@ -158,14 +158,14 @@ class TestContinuedFraction:
             x = (a + 1.0) / (a + b + 2.0) * (1.0 - 1e-9)
             assert math.isfinite(_beta_cont_frac(a, b, x))
 
-    def test_converged_elements_stop_updating(self, monkeypatch):
+    def test_converged_fraction_stops_updating(self, monkeypatch):
         # the fraction returns once converged, so a larger budget gives the same value
         points = [(3.0, 12.0, 0.05), (3.0, 12.0, 0.1), (1e6, 1e6, 0.4999)]
         want = [_beta_cont_frac(*point) for point in points]
         monkeypatch.setattr(statdist, "_cont_frac_budget", lambda a, b: 100_000)
         assert [_beta_cont_frac(*point) for point in points] == want
 
-    def test_each_element_keeps_its_shape_and_its_own_failure(self, monkeypatch):
+    def test_each_point_keeps_its_shape_and_its_own_failure(self, monkeypatch):
         points = [(3.0, 12.0, 0.05), (3.0, 12.0, 0.1), (40.0, 7.0, 0.7)]
         want = [_beta_cont_frac(*point) for point in points]
         # only the large shapes' budget is too small; the error names their call
