@@ -13,7 +13,7 @@ exact whenever the data sit on the link surface.  The link is always
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import chain, filterfalse
 from operator import add, mul
@@ -44,18 +44,16 @@ def inv_logit(z: float) -> float:
     return e / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class RegressionModel:
+class RegressionModel(namedtuple("RegressionModel", "intercept coefficients precision")):
     """Intercept, slope coefficients and beta dispersion."""
 
-    intercept: float
-    coefficients: tuple[float, ...]
-    precision: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if not self.precision > 0.0:
-            raise ValueError(f"precision must be positive, got {self.precision}")
+    def __new__(cls, intercept: float, coefficients: tuple[float, ...],
+                precision: float = 1.0) -> RegressionModel:
+        if not precision > 0.0:
+            raise ValueError(f"precision must be positive, got {precision}")
+        return super().__new__(cls, intercept, tuple(map(float, coefficients)), precision)
 
 
 def predict_mean(model: RegressionModel, y) -> list[float]:

@@ -33,8 +33,8 @@ without bound, by 1-D Gauss-Legendre quadrature: the filter's test reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from collections import namedtuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .statdist import BetaParams, NumericError, log_beta, rng_stream, sample_beta
 
@@ -86,8 +86,7 @@ class SweepNotConvergedError(NumericError, RuntimeError):
     """Fitted means failed to become monotone within the pass budget."""
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
+class CalibrationConfig(namedtuple("CalibrationConfig", "n_sim k_reps seed ci_level")):
     """Knobs of the simulate-filter-refit procedure.
 
     ``n_sim`` draws are simulated per grade per pair step; ``k_reps``
@@ -95,22 +94,20 @@ class CalibrationConfig:
     always runs on stream ``(seed, k)``.
     """
 
-    n_sim: int = 100_000
-    k_reps: int = 300
-    seed: int = 42
-    ci_level: float = 0.90
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_sim < 1000:
-            raise ValueError(f"n_sim must be at least 1000, got {self.n_sim}")
-        if self.k_reps < 1:
-            raise ValueError(f"k_reps must be at least 1, got {self.k_reps}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
+    def __new__(cls, n_sim: int = 100_000, k_reps: int = 300, seed: int = 42,
+                ci_level: float = 0.90) -> CalibrationConfig:
+        if n_sim < 1000:
+            raise ValueError(f"n_sim must be at least 1000, got {n_sim}")
+        if k_reps < 1:
+            raise ValueError(f"k_reps must be at least 1, got {k_reps}")
+        if not 0.0 < ci_level < 1.0:
+            raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
+        return super().__new__(cls, n_sim, k_reps, seed, ci_level)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """One converged sweep: fitted shapes and calibrated means, best grade first.
 
     ``draws_total`` counts the beta variates drawn, both grades of every
@@ -127,8 +124,7 @@ class SweepResult:
     topup_blocks_total: int
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """Aggregate of ``k_reps`` independent sweeps.
 
     Point estimates are means over repetitions; the confidence bounds are
@@ -139,7 +135,8 @@ class CalibrationResult:
     when k_reps is 1.  ``sweep_means`` keeps the full k_reps x n_grades
     matrix for histogram export.  ``alpha_hat``/``beta_hat`` are arithmetic
     means of the per-repetition fitted shapes; ``draws_total`` and
-    ``topup_blocks_total`` are the sweeps' counts summed.
+    ``topup_blocks_total`` are the sweeps' counts summed.  The matrix makes
+    a result unhashable and its comparison ambiguous.
     """
 
     grade_means: tuple[float, ...]

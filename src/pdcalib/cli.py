@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -66,9 +65,8 @@ def _print_pretty(title: str, header, rows) -> None:
     print(title)
     rows = [[_pct(cell) if isinstance(cell, float) else str(cell) for cell in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    for cells in (header, *rows):  # the last cell unpadded: no line ends in a space
+        print("  ".join([*map(str.ljust, cells[:-1], widths), cells[-1]]))
 
 
 def _numbered(prefix: str, values) -> dict:
@@ -77,7 +75,6 @@ def _numbered(prefix: str, values) -> dict:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from numpy import __version__ as numpy_version
     started = time.perf_counter()
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
@@ -99,11 +96,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for gc, (edges, counts) in zip(snapshot.grades, export_histograms(result.sweep_means)):
             files[f"hist_{gc.order}.csv"] = csv_text(("bin_lo", "bin_hi", "count"),
                                                      zip(edges, edges[1:], counts))
+    from numpy import __version__ as numpy_version  # loaded by now; input errors exit before
     manifest = envelope("calibrate", started, input=args.input) | {
         "numpy_version": numpy_version,
         "period": snapshot.period,
         "n_grades": len(snapshot.grades),
-        **asdict(cfg),
+        **cfg._asdict(),
         "min_accepted": _MIN_ACCEPTED,
         "max_resample_rounds": _MAX_RESAMPLE_ROUNDS,
         "max_passes": _MAX_PASSES,
@@ -210,10 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="calibrate one period's PDs")
     cal.add_argument("--input", required=True, type=Path, help="cohort CSV")
     cal.add_argument("--period", required=True, help="period label to calibrate")
-    cal.add_argument("--n-sim", dest="n_sim", type=int, default=CalibrationConfig.n_sim)
-    cal.add_argument("--k-reps", dest="k_reps", type=int, default=CalibrationConfig.k_reps)
-    cal.add_argument("--seed", type=int, default=CalibrationConfig.seed)
-    cal.add_argument("--ci", type=float, default=CalibrationConfig.ci_level)
+    defaults = CalibrationConfig()
+    cal.add_argument("--n-sim", dest="n_sim", type=int, default=defaults.n_sim)
+    cal.add_argument("--k-reps", dest="k_reps", type=int, default=defaults.k_reps)
+    cal.add_argument("--seed", type=int, default=defaults.seed)
+    cal.add_argument("--ci", type=float, default=defaults.ci_level)
     cal.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="threads running the repetitions (affects speed only)")
     cal.add_argument("--out", required=True, help="output directory")

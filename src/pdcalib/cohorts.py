@@ -20,7 +20,7 @@ so the portfolio posterior maps each label to its own, best grade first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .csvio import CohortError, bare_cell, read_rows
 from .statdist import BetaParams
@@ -39,39 +39,36 @@ COHORT_HEADER = ("period", "grade_order", "grade_label", "performing_start", "de
 DEFAULT_BUCKET_LABEL = "C/D"
 
 
-@dataclass(frozen=True)
-class GradeCount:
+class GradeCount(namedtuple("GradeCount", "order label performing_start defaults_end")):
     """Cohort counts for one grade: performing at period start, defaulted by period end."""
 
-    order: int
-    label: str
-    performing_start: int
-    defaults_end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bare_cell(self.label, "grade label")
-        if self.performing_start < 0 or self.defaults_end < 0:
-            raise ValueError(f"grade {self.label}: counts must be nonnegative")
-        if self.defaults_end > self.performing_start:
-            raise ValueError(f"grade {self.label}: defaults exceed performing "
-                             f"({self.defaults_end} > {self.performing_start})")
+    def __new__(cls, order: int, label: str, performing_start: int,
+                defaults_end: int) -> GradeCount:
+        bare_cell(label, "grade label")
+        if performing_start < 0 or defaults_end < 0:
+            raise ValueError(f"grade {label}: counts must be nonnegative")
+        if defaults_end > performing_start:
+            raise ValueError(f"grade {label}: defaults exceed performing "
+                             f"({defaults_end} > {performing_start})")
+        return super().__new__(cls, order, label, performing_start, defaults_end)
 
 
-@dataclass(frozen=True)
-class CohortSnapshot:
+class CohortSnapshot(namedtuple("CohortSnapshot", "period grades")):
     """All grade counts observed over one period, best grade first."""
 
-    period: str
-    grades: tuple[GradeCount, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grades", tuple(self.grades))
-        orders = [g.order for g in self.grades]
+    def __new__(cls, period: str, grades: tuple[GradeCount, ...]) -> CohortSnapshot:
+        grades = tuple(grades)
+        orders = [g.order for g in grades]
         if sorted(orders) != orders or len(set(orders)) != len(orders):
-            raise ValueError(f"period {self.period}: grade orders must be strictly increasing")
-        labels = [g.label for g in self.grades]
+            raise ValueError(f"period {period}: grade orders must be strictly increasing")
+        labels = [g.label for g in grades]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"period {self.period}: duplicate grade labels")
+            raise ValueError(f"period {period}: duplicate grade labels")
+        return super().__new__(cls, period, grades)
 
     @property
     def total_performing(self) -> int:

@@ -7,15 +7,15 @@ file's physical line.  Converters read numbers with ``finite_row`` (a
 row's numbers in one step) or ``probability`` (one cell in [0, 1]) and
 names that reach a result file with ``bare_cell``.  Results:
 ``write_outputs`` stages a command's files and moves them into place only
-when all are written, manifest last.
+when all are written, manifest last.  ``hashlib`` and ``json`` are imported
+when a command writes (``envelope``, ``json_text``), so ``--version``,
+``--help`` and usage errors load neither.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
-import json
 import math
 import os
 import time
@@ -122,6 +122,7 @@ def csv_text(header: Sequence[str], rows) -> str:
 
 
 def json_text(doc: dict) -> str:
+    import json
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -162,6 +163,7 @@ def envelope(command: str, started: float, **inputs: Path | None) -> dict:
     file, both empty for an input not given, and the seconds since
     ``started`` (a ``time.perf_counter`` reading).
     """
+    import hashlib
     doc = {"command": command, "tool_version": __version__}
     for name, path in inputs.items():
         digest = hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest() if path else ""

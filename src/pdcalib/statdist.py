@@ -19,7 +19,7 @@ why that oracle does not use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -46,21 +46,20 @@ class ConvergenceError(NumericError, RuntimeError):
     """An iterative kernel ran out of its iteration budget before converging."""
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(namedtuple("BetaParams", "alpha beta")):
     """Shape pair (alpha, beta) of a beta distribution.
 
     Both shapes must be strictly positive and finite; the implied mean
     alpha / (alpha + beta) then lies strictly inside (0, 1).
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+    def __new__(cls, alpha: float, beta: float) -> BetaParams:
+        for name, value in (("alpha", alpha), ("beta", beta)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        return super().__new__(cls, alpha, beta)
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

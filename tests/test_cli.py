@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -222,12 +223,16 @@ class TestCalibrateCommand:
         assert run_calibrate(path, tmp_path / "out", n_sim=2000, k_reps=1, seed=5) == 3
         assert "after 1 passes" in capsys.readouterr().err
 
-    def test_pretty_prints_percentages(self, tame_csv, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main(["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
-                   "--k-reps", "2", "--threads", "1", "--out", str(out), "--pretty"])
+    def test_pretty_prints_percentages(self, tmp_path, capsys):
+        # grade C near 15%: its cells are wider than the header "ci_hi"
+        path = tmp_path / "cohorts.csv"
+        path.write_text(TAME_CSV.replace("400,20", "400,60"), encoding="utf-8")
+        rc = main(["calibrate", "--input", str(path), "--period", "T1", "--n-sim", "1000",
+                   "--k-reps", "2", "--threads", "1", "--out", str(tmp_path / "out"), "--pretty"])
         assert rc == 0
-        assert "%" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"3 +C +(1\d\.\d\d% +){3}1\d\.\d\d%", lines[-1])
+        assert not [line for line in lines if line.endswith(" ")]
 
 
 class TestCompareCommand:
@@ -317,6 +322,7 @@ class TestCompareCommand:
         assert header.split() == ["order", "label", "simulated", "pluto_tasche"]
         assert [row.split()[:2] for row in rows] == [["1", "A"], ["2", "B"], ["3", "C"]]
         assert all(re.fullmatch(r"\d+\.\d\d%", cell) for row in rows for cell in row.split()[2:])
+        assert not [line for line in (header, *rows) if line.endswith(" ")]
 
 
 class TestPredictCommand:
@@ -378,6 +384,7 @@ class TestPredictCommand:
             assert title == "Predicted means"
             assert header.split() == ["period", "mu"]
             assert [row.split() for row in rows] == want
+            assert not [line for line in (header, *rows) if line.endswith(" ")]
 
 
 ENVELOPE_KEYS = {"command", "tool_version", "duration_seconds"}
@@ -565,37 +572,50 @@ class TestImportFootprint:
     """Only `calibrate` draws random numbers, so only it loads the sampler and the pool;
     only the test oracle's quadrature loads `numpy.polynomial`, and no command loads
     `numpy.ma`, which `np.median` and `np.quantile` import.  `compare` and `predict` work
-    on scalars, so they load neither numpy nor `statistics`; only `calibrate` loads numpy."""
+    on scalars, so they load neither numpy nor `statistics`; only `calibrate` loads numpy,
+    and only once its input is valid.  The records are named tuples, so nothing loads
+    `dataclasses`, and only a command that writes loads `hashlib` and `json`."""
 
-    @staticmethod
-    def modules_loaded(code: str) -> list[bool]:
-        """Whether ``code`` loads numpy.random, concurrent.futures, numpy.polynomial,
-        numpy.ma, numpy and statistics, in that order."""
+    MODULES = ("numpy.random", "concurrent.futures", "numpy.polynomial", "numpy.ma", "numpy",
+               "statistics", "dataclasses", "hashlib", "json")
+    WRITER = ["hashlib", "json"]
+
+    @classmethod
+    def modules_loaded(cls, code: str) -> list[str]:
+        """Those of ``MODULES`` that ``code`` loads, in that order."""
         src = str(Path(pdcalib.__file__).resolve().parents[1])
         probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
-                 "print([m in sys.modules for m in ('numpy.random', 'concurrent.futures', "
-                 "'numpy.polynomial', 'numpy.ma', 'numpy', 'statistics')])")
+                 f"print([m for m in {cls.MODULES!r} if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
-        return json.loads(done.stdout.splitlines()[-1].lower())
+        return ast.literal_eval(done.stdout.splitlines()[-1])
 
     @staticmethod
-    def main_code(argv) -> str:
-        return f"from pdcalib.cli import main\nassert main({list(map(str, argv))!r}) == 0"
+    def main_code(argv, status: int = 0) -> str:
+        return f"from pdcalib.cli import main\nassert main({list(map(str, argv))!r}) == {status}"
 
     def test_importing_the_cli_loads_neither(self):
-        assert self.modules_loaded("import pdcalib, pdcalib.cli") == [False] * 6
+        assert self.modules_loaded("import pdcalib, pdcalib.cli") == []
 
     def test_calibrate_loads_both(self, tame_csv, tmp_path):
         argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
                 "--k-reps", "1", "--threads", "1", "--out", tmp_path / "out"]
-        assert self.modules_loaded(self.main_code(argv)) == [True, True, False, False, True, False]
+        assert self.modules_loaded(self.main_code(argv)) == [
+            "numpy.random", "concurrent.futures", "numpy", *self.WRITER]
+
+    @pytest.mark.parametrize("option, value", [("--period", "T9"), ("--threads", "0"),
+                                               ("--input", "missing.csv")])
+    def test_calibrate_input_error_loads_no_numpy(self, tame_csv, tmp_path, option, value):
+        args = {"--input": tame_csv, "--period": "T1", "--threads": 1, "--out": tmp_path / "o"}
+        args[option] = tmp_path / value if option == "--input" else value
+        argv = ["calibrate", *(x for pair in args.items() for x in pair)]
+        assert self.modules_loaded(self.main_code(argv, status=2)) == []
 
     def test_compare_loads_no_numpy(self, tame_csv, tmp_path):
         assert run_calibrate(tame_csv, tmp_path / "calib") == 0
         argv = ["compare", "--input", tame_csv, "--period", "T1",
                 "--calibration", tmp_path / "calib" / "calibration.csv", "--out", tmp_path / "cmp"]
-        assert self.modules_loaded(self.main_code(argv)) == [False] * 6
+        assert self.modules_loaded(self.main_code(argv)) == self.WRITER
 
     def test_predict_loads_no_numpy(self, tmp_path):
         history = tmp_path / "history.csv"
@@ -603,7 +623,7 @@ class TestImportFootprint:
         newdata = tmp_path / "newdata.csv"
         newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
         argv = ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]
-        assert self.modules_loaded(self.main_code(argv)) == [False] * 6
+        assert self.modules_loaded(self.main_code(argv)) == self.WRITER
 
 
 def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
