@@ -331,14 +331,14 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     """E[theta_1 | theta_1 <= theta_2] and E[theta_2 | theta_1 <= theta_2]
     by 1-D Gauss-Legendre quadrature, independent of the Monte-Carlo path.
 
-    The lower mean is int t f_1 (1 - F_2) / int f_1 (1 - F_2), the upper
-    int t f_2 F_1 / int f_2 F_1.  Cells span 0, 1, per grade Beta(a, b) inv_logit(log(a/b)
-    + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], and e 2^-j for j = 1..20 below the
-    lowest such edge e, where a density goes like t^(a-1), so that non-integer shapes
-    are exact too; 8 nodes a cell.  F_1 and 1 - F_2 at a node add the cells on its side
-    to a rule on the rest of its cell, so no complement loses digits and no incomplete
-    beta, imprecise near x = 1, is needed.  Needs every shape >= 1 and an acceptance
-    P(theta_1 <= theta_2) of at least 1e-8, or raises ValueError.
+    The acceptance P(theta_1 <= theta_2) is A = int f_2 F_1, the upper mean int t f_2 F_1 / A
+    and, swapping the order of integration in int t f_1 (1 - F_2), the lower mean
+    int f_2 G_1 / A with G_1(s) = int_0^s t f_1(t) dt.  Cells span 0, 1, per grade
+    Beta(a, b) inv_logit(log(a/b) + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], and
+    e 2^-j for j = 1..20 below the lowest such edge e, where a density goes like t^(a-1),
+    so that non-integer shapes are exact too; 8 nodes a cell.  F_1 and G_1 at a node add
+    the cells below it to p1's rule from its cell start to the node, so no complement
+    loses digits.  Needs every shape >= 1 and A >= 1e-8, or raises ValueError.
     """
     if min(p1.alpha, p1.beta, p2.alpha, p2.beta) < 1.0:
         raise ValueError("quadrature oracle requires both shape parameters >= 1")
@@ -359,17 +359,16 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
 
     t, wf1 = rule(p1, edges[:-1], edges[1:])  # one row of nodes per cell
     wf2 = rule(p2, edges[:-1], edges[1:])[1]
-    cdf1 = (np.cumsum(np.r_[0.0, wf1.sum(axis=1)[:-1]])[:, None]
-            + rule(p1, edges[:-1, None], t)[1].sum(axis=2))
-    sf2 = (np.cumsum(np.r_[0.0, wf2.sum(axis=1)[:0:-1]])[::-1, None]
-           + rule(p2, t, edges[1:, None])[1].sum(axis=2))
-    lower, upper = wf1 * sf2, wf2 * cdf1
-    acceptance = float(lower.sum())
+    s, wfs = rule(p1, edges[:-1, None], t)  # p1's rule from each node's cell start to it
+    cdf1, g1 = (np.cumsum(np.r_[0.0, w.sum(axis=1)[:-1]])[:, None] + ws.sum(axis=2)
+                for w, ws in ((wf1, wfs), (wf1 * t, wfs * s)))
+    upper = wf2 * cdf1
+    acceptance = float(upper.sum())
     if not acceptance >= 1e-8:  # also catches nan, from nodes that round to 1
         raise ValueError(
             f"Beta({p1.alpha:g}, {p1.beta:g}) below Beta({p2.alpha:g}, {p2.beta:g}): the oracle "
             f"needs an acceptance of at least 1e-8, got {acceptance:.3g}")
-    return float((t * lower).sum()) / acceptance, float((t * upper).sum() / upper.sum())
+    return float((wf2 * g1).sum()) / acceptance, float((t * upper).sum()) / acceptance
 
 
 def export_histograms(sweep_means: np.ndarray) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:

@@ -133,17 +133,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
-    # (grade order, label, mean) of each calibrated grade
+    # (grade order, label, n, d, mean) of each calibrated grade
     calibrated = read_rows(args.calibration, CALIBRATION_HEADER, lambda cells: (
-        int(cells[0]), cells[1], probability(cells[_MEAN], "mean")))
-    if [row[:2] for row in calibrated] != [(g.order, g.label) for g in snapshot.grades]:
-        raise CohortError(
-            "calibration column mismatch: grade orders/labels differ from the input period")
+        int(cells[0]), cells[1], int(cells[2]), int(cells[3]), probability(cells[_MEAN], "mean")))
+    if [row[:4] for row in calibrated] != list(snapshot.grades):
+        raise CohortError(f"calibration mismatch: grade orders, labels or counts differ from "
+                          f"period {snapshot.period} of the input", source=str(args.calibration))
 
     pt_pds = pluto_tasche(snapshot, args.pt_confidence)
     external = (align_external(parse_external_csv(args.external), snapshot)
                 if args.external else None)
-    columns = build_comparison(snapshot, [mean for _, _, mean in calibrated], pt_pds, external)
+    columns = build_comparison(snapshot, [row[-1] for row in calibrated], pt_pds, external)
     ct = central_tendency(snapshot)
 
     methods = list(columns)

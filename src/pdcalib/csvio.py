@@ -1,9 +1,10 @@
 """The one CSV dialect of every input file, and the one way to write results.
 
-Inputs: UTF-8, a header row before any data, blank and ``#`` lines
-skipped, cells stripped, every data row as wide as the header.  A format
-is a header plus a row converter on ``read_rows``, and any error names the
-file's physical line.  Converters read numbers with ``finite_row`` (a
+Inputs: UTF-8 with or without a byte-order mark, a header row before any
+data, blank and ``#`` lines skipped, cells stripped, every data row as
+wide as the header.  A format is a header plus a row converter on
+``read_rows``, and any error names the file and, when it has one, the
+physical line.  Converters read numbers with ``finite_row`` (a
 row's numbers in one step) or ``probability`` (one cell in [0, 1]) and
 names that reach a result file with ``bare_cell``.  Results:
 ``write_outputs`` stages a command's files and moves them into place only
@@ -55,32 +56,39 @@ def read_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]],
     ``header`` is the expected header, or, for formats with a variable
     number of columns, a function from the number of header cells to it.
     Raises CohortError for a missing or unexpected header, a row of the
-    wrong width, or a ``ValueError`` raised by ``convert``, with the line.
+    wrong width, a row the csv module cannot read, or a ``ValueError``
+    raised by ``convert``, with the line, and for text that is not UTF-8.
     """
     name = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
-    opened = (open(source, encoding="utf-8", newline="") if name is not None
+    opened = (open(source, encoding="utf-8-sig", newline="") if name is not None
               else contextlib.nullcontext(source))
     expected = None
     out: list[T] = []
     with opened as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            cells = list(map(str.strip, row))
-            if not cells or cells[0].startswith("#") or cells == [""]:
-                continue
-            line = reader.line_num
-            if expected is None:
-                expected = tuple(header(len(cells)) if callable(header) else header)
-                if tuple(cells) != expected:
-                    raise CohortError(f"expected header {','.join(expected)}, "
-                                      f"got {','.join(cells)}", line, name)
-                continue
-            if len(cells) != len(expected):
-                raise CohortError(f"expected {len(expected)} fields, got {len(cells)}", line, name)
-            try:
-                out.append(convert(cells))
-            except ValueError as exc:
-                raise CohortError(str(exc), line, name) from None
+        try:
+            for row in reader:
+                cells = list(map(str.strip, row))
+                if not cells or cells[0].startswith("#") or cells == [""]:
+                    continue
+                line = reader.line_num
+                if expected is None:
+                    expected = tuple(header(len(cells)) if callable(header) else header)
+                    if tuple(cells) != expected:
+                        raise CohortError(f"expected header {','.join(expected)}, "
+                                          f"got {','.join(cells)}", line, name)
+                    continue
+                if len(cells) != len(expected):
+                    raise CohortError(f"expected {len(expected)} fields, got {len(cells)}",
+                                      line, name)
+                try:
+                    out.append(convert(cells))
+                except ValueError as exc:
+                    raise CohortError(str(exc), line, name) from None
+        except csv.Error as exc:  # an oversized cell, or a NUL byte before Python 3.11
+            raise CohortError(str(exc), reader.line_num, name) from None
+        except UnicodeDecodeError as exc:
+            raise CohortError(f"not UTF-8 text: {exc}", source=name) from None
     if expected is None:
         raise CohortError("missing header", source=name)
     return out

@@ -4,16 +4,16 @@ Beta variates come from numpy's ``Generator`` on SFC64 streams seeded by
 ``SeedSequence`` spawn keys (``rng_stream``, which alone loads numpy, when
 first called).  Every other kernel is a scalar function on ``math``: the
 log beta function (``math.lgamma``, with Stirling's series where lgamma
-differences would cancel), the regularized incomplete beta function
-through a Lentz-style continued fraction with a shape-scaled iteration
-budget, binomial tail probabilities through the incomplete-beta identity,
-a safeguarded Newton root finder for monotone targets that falls back to
-bisection, and the standard normal quantile it solves.  Iterative kernels
-converge or raise ConvergenceError; they never return a truncated result.
-``log_beta`` also normalises the densities of the calibrator's quadrature
-oracle.  The continued fraction takes x itself, so near x = 1 it is good
-to only about alpha * 5e-17 relative (5e-11 for Beta(1e6, 1)), which is
-why that oracle does not use it.
+differences would cancel), binomial tail probabilities as a regularized
+incomplete beta through a Lentz-style continued fraction with a
+shape-scaled iteration budget, a safeguarded Newton root finder for
+monotone targets that falls back to bisection, and the standard normal
+quantile it solves.  Iterative kernels converge or raise
+ConvergenceError; they never return a truncated result.  ``log_beta``
+also normalises the densities of the calibrator's quadrature oracle.
+The continued fraction takes x itself, so near x = 1 it is good to only
+about alpha * 5e-17 relative (5e-11 for Beta(1e6, 1)), which is why that
+oracle does not use it.
 """
 
 from __future__ import annotations
@@ -170,27 +170,12 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
         f"for a={a:g}, b={b:g}, x={x:g}")
 
 
-def _inc_beta(x: float, y: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for 0 < x < 1, given y = 1 - x.
-
-    Taking 1 - x from the caller lets one that knows the small side exactly
-    (the binomial tail knows theta) keep its precision.  The continued
-    fraction runs on I_x(a, b) below the symmetry switch
-    x = (a + 1) / (a + b + 2) and on 1 - I_y(b, a) above it.
-    """
-    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
-    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
-    front = math.exp(a * log_x + b * log_y - log_beta(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = front / a * _beta_cont_frac(a, b, x)
-    else:
-        value = 1.0 - front / b * _beta_cont_frac(b, a, y)
-    return min(max(value, 0.0), 1.0)
-
-
 def binomial_tail_le(n: int, d: int, theta: float) -> float:
-    """P(X <= d) for X ~ Binomial(n, theta), via the incomplete-beta identity
-    P(X <= d) = I_{1-theta}(n - d, d + 1)."""
+    """P(X <= d) for X ~ Binomial(n, theta), as the incomplete beta I_{1-theta}(n - d, d + 1).
+
+    Its front factor takes the logs from theta, exact where 1 - theta is rounded.  The
+    continued fraction runs on I_{1-theta}(n - d, d + 1) below the symmetry switch
+    1 - theta = (n - d + 1) / (n + 3), and on 1 - I_theta(d + 1, n - d) above it."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not 0 <= d <= n:
@@ -199,7 +184,13 @@ def binomial_tail_le(n: int, d: int, theta: float) -> float:
         raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
     if d == n:
         return 1.0
-    return _inc_beta(1.0 - theta, theta, float(n - d), d + 1.0)
+    a, b = float(n - d), d + 1.0
+    front = math.exp(a * math.log1p(-theta) + b * math.log(theta) - log_beta(a, b))
+    if 1.0 - theta < (a + 1.0) / (a + b + 2.0):
+        value = front / a * _beta_cont_frac(a, b, 1.0 - theta)
+    else:
+        value = 1.0 - front / b * _beta_cont_frac(b, a, theta)
+    return min(max(value, 0.0), 1.0)
 
 
 def solve_monotone(f, target: float, lo: float, hi: float, *, fprime, x0: float) -> float:

@@ -311,6 +311,18 @@ class TestCompareCommand:
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_calibration_of_another_period_exits_2(self, tame_csv, tmp_path, capsys):
+        # T2 has T1's grade orders and labels but its own counts
+        calibration = self.setup_outputs(tame_csv, tmp_path)
+        with tame_csv.open("a", encoding="utf-8") as handle:
+            handle.write("T2,1,A,600,3\nT2,2,B,900,7\nT2,3,C,400,20\n")
+        rc = main(["compare", "--input", str(tame_csv), "--period", "T2",
+                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "calibration.csv: calibration mismatch" in err and "period T2" in err
+        assert not (tmp_path / "cmp").exists()
+
     def test_pretty_prints_percentages(self, tame_csv, tmp_path, capsys):
         calibration = self.setup_outputs(tame_csv, tmp_path)
         capsys.readouterr()
@@ -538,6 +550,16 @@ class TestBadInputCells:
         assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
         err = capsys.readouterr().err
         assert f"{kind}.csv: line 3: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["cohort", "external", "history", "calibration"])
+    def test_cell_over_the_csv_field_limit_exits_2(self, tame_csv, tmp_path, capsys, kind):
+        # the csv module refuses a cell of more than 131,072 characters
+        row = {"cohort": "T1,2,B,900,{}", "external": "2,q,{}", "history": "b,0.3,{}",
+               "calibration": "{}"}[kind].format("1" * 200_000)
+        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+        err = capsys.readouterr().err
+        assert f"{kind}.csv: line 3: field larger than field limit" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["grade_order", "label", "simulated", "pluto_tasche"])

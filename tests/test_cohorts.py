@@ -50,6 +50,18 @@ class TestParse:
         with pytest.raises(CohortError, match="expected header"):
             parse_cohort_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, fixture_csv, snapshots, tmp_path):
+        # spreadsheet tools write UTF-8 with a leading byte-order mark
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
+        assert parse_cohort_csv(marked) == snapshots
+
+    def test_utf16_names_the_file(self, fixture_csv, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(fixture_csv.read_text(encoding="utf-8"), encoding="utf-16")
+        with pytest.raises(CohortError, match=r"wide\.csv: not UTF-8 text"):
+            parse_cohort_csv(wide)
+
 
 class TestObservedRates:
     def test_fixture_rates(self, snapshot_2016, snapshot_2017):

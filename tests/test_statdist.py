@@ -199,6 +199,19 @@ class TestBinomialTail:
             ge_next = binomial_tail_le(n, n - d - 1, 1.0 - theta)  # P(X >= d + 1)
             assert le + ge_next == pytest.approx(1.0, abs=1e-9)
 
+    def test_matches_scipy_above_one_half(self):
+        # above theta = 1/2 the front factor's logs come from theta, not from 1 - theta
+        stats = pytest.importorskip("scipy.stats")
+        meta = np.random.default_rng(20)
+        for _ in range(400):
+            n = int(meta.choice([10, 100, 1_000, 10_000]))
+            theta = float(meta.uniform(0.5, 0.999))
+            sd = math.sqrt(n * theta * (1.0 - theta))
+            d = min(max(round(n * theta + meta.uniform(-3.0, 3.0) * sd), 0), n)
+            want = stats.binom.cdf(d, n, theta)
+            assert binomial_tail_le(n, d, theta) == pytest.approx(want, rel=1e-11, abs=0.0), \
+                (n, d, theta)
+
     @pytest.mark.parametrize("n,d,theta", [(10, 11, 0.5), (10, -1, 0.5),
                                            (10, 5, 0.0), (10, 5, 1.0)])
     def test_domain_errors(self, n, d, theta):
