@@ -95,14 +95,14 @@ def scale_to_ct(pds: Sequence[float], snapshot: CohortSnapshot) -> list[float]:
 
     Multiplicative, so relative ordering is preserved, and invariant to a
     positive rescaling of the input vector: ``c * pds`` gives the same result.
+    The weighted sum is ``math.fsum``'s, correctly rounded on every Python.
     """
     if len(pds) != len(snapshot.grades):
         raise ValueError(
             f"PD vector has {len(pds)} entries but snapshot has {len(snapshot.grades)} grades")
     ct = central_tendency(snapshot)
     weights = [g.performing_start for g in snapshot.grades]
-    total = sum(weights)
-    weighted_mean = sum(w * pd for w, pd in zip(weights, pds)) / total
+    weighted_mean = math.fsum(w * pd for w, pd in zip(weights, pds)) / sum(weights)
     if weighted_mean <= 0.0:
         raise ValueError("cannot scale an all-zero PD vector")
     factor = ct / weighted_mean

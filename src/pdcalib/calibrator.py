@@ -331,40 +331,40 @@ def oracle_conditional_means_2grade(p1: BetaParams, p2: BetaParams) -> tuple[flo
     """E[theta_1 | theta_1 <= theta_2] and E[theta_2 | theta_1 <= theta_2]
     by 1-D Gauss-Legendre quadrature, independent of the Monte-Carlo path.
 
-    The acceptance P(theta_1 <= theta_2) is A = int f_2 F_1, the upper mean int t f_2 F_1 / A
-    and, swapping the order of integration in int t f_1 (1 - F_2), the lower mean
-    int f_2 G_1 / A with G_1(s) = int_0^s t f_1(t) dt.  Cells span 0, 1, per grade
-    Beta(a, b) inv_logit(log(a/b) + z sqrt(1/a + 1/b)) at 101 even z in [-12, 12], and
-    e 2^-j for j = 1..20 below the lowest such edge e, where a density goes like t^(a-1),
-    so that non-integer shapes are exact too; 8 nodes a cell.  F_1 and G_1 at a node add
-    the cells below it to p1's rule from its cell start to the node, so no complement
-    loses digits.  Needs every shape >= 1 and A >= 1e-8, or raises ValueError.
+    The acceptance P(theta_1 <= theta_2) is A = int f_2 F_1, the upper mean int t f_2 F_1 / A and,
+    swapping the order of integration in int t f_1 (1 - F_2), the lower mean int f_2 G_1 / A with
+    G_1(s) = int_0^s t f_1(t) dt, all over u = logit t.  There Beta(a, b) has the density
+    sigma(u)^a sigma(-u)^b / B(a, b), smooth for every a, b > 0, with e^(a u) and e^(-b u) tails.
+    So per grade, cells 0.24 s wide, s = sqrt(1/a + 1/b), run from max(12 s, 60/a) below log(a/b)
+    to max(12 s, 60/b) above, where a tail is down to e^-60 (e^-40 of the least A taken), 8 nodes
+    a cell.  F_1 and G_1 at a node add the cells below it to p1's rule from its cell start to the
+    node, so no complement loses digits.  Takes every shape > 0; raises ValueError if A < 1e-8.
     """
-    if min(p1.alpha, p1.beta, p2.alpha, p2.beta) < 1.0:
-        raise ValueError("quadrature oracle requires both shape parameters >= 1")
     import numpy as np
-    z = np.linspace(-12.0, 12.0, 101)
-    logits = [math.log(p.alpha / p.beta) + z * math.sqrt(1.0 / p.alpha + 1.0 / p.beta)
-              for p in (p1, p2)]
-    grid = 1.0 / (1.0 + np.exp(-np.concatenate(logits)))
-    edges = np.unique(np.concatenate([[0.0, 1.0], grid, grid.min() * 2.0 ** -np.arange(1, 21)]))
+    grids = []
+    for p in (p1, p2):
+        scale = math.sqrt(1.0 / p.alpha + 1.0 / p.beta)
+        below, above = (math.ceil(max(12.0, 60.0 / (shape * scale)) / 0.24) for shape in p)
+        grids.append(math.log(p.alpha / p.beta) + 0.24 * scale * np.arange(-below, above + 1))
+    edges = np.unique(np.concatenate(grids))
     nodes, weights = np.polynomial.legendre.leggauss(8)
 
     def rule(p, lo, hi):
-        """The 8 nodes on each [lo, hi], and p's density there times their weights."""
+        """The 8 nodes u on each [lo, hi], t there, and p's density in u times their weights."""
         half = 0.5 * (hi - lo)[..., None]
-        x = lo[..., None] + half * (1.0 + nodes)
-        return x, half * weights * np.exp((p.alpha - 1.0) * np.log(x) + (p.beta - 1.0)
-                                          * np.log1p(-x) - log_beta(p.alpha, p.beta))
+        u = lo[..., None] + half * (1.0 + nodes)
+        log_t, log_1mt = -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u)
+        return u, np.exp(log_t), half * weights * np.exp(
+            p.alpha * log_t + p.beta * log_1mt - log_beta(p.alpha, p.beta))
 
-    t, wf1 = rule(p1, edges[:-1], edges[1:])  # one row of nodes per cell
-    wf2 = rule(p2, edges[:-1], edges[1:])[1]
-    s, wfs = rule(p1, edges[:-1, None], t)  # p1's rule from each node's cell start to it
+    u, t, wf1 = rule(p1, edges[:-1], edges[1:])  # one row of nodes per cell
+    wf2 = rule(p2, edges[:-1], edges[1:])[2]
+    _, s, wfs = rule(p1, edges[:-1, None], u)  # p1's rule from each node's cell start to it
     cdf1, g1 = (np.cumsum(np.r_[0.0, w.sum(axis=1)[:-1]])[:, None] + ws.sum(axis=2)
                 for w, ws in ((wf1, wfs), (wf1 * t, wfs * s)))
     upper = wf2 * cdf1
     acceptance = float(upper.sum())
-    if not acceptance >= 1e-8:  # also catches nan, from nodes that round to 1
+    if not acceptance >= 1e-8:
         raise ValueError(
             f"Beta({p1.alpha:g}, {p1.beta:g}) below Beta({p2.alpha:g}, {p2.beta:g}): the oracle "
             f"needs an acceptance of at least 1e-8, got {acceptance:.3g}")

@@ -7,10 +7,10 @@ first, blank and ``#`` lines ignored, errors named by line)::
 
 One row per (period, grade).  ``grade_order`` is 1 for the best credit
 quality.  A grade label is written bare into result files, so it must be
-non-empty and need no CSV quoting.  A row labelled ``C/D``, the default
-bucket, is validated and then dropped: the default bucket is an absorbing
-state, not a calibratable grade.  ``CohortError`` lives in ``csvio`` and
-is re-exported here.
+non-empty, need no CSV quoting and hold no control character.  A row
+labelled ``C/D``, the default bucket, is validated and then dropped: the
+default bucket is an absorbing state, not a calibratable grade.
+``CohortError`` lives in ``csvio`` and is re-exported here.
 
 With the flat Beta(1, 1) prior, a grade with n performing entities of
 which d defaulted has the conjugate posterior Beta(1 + d, 1 + n - d); a

@@ -30,8 +30,8 @@ __all__ = ["CohortError", "read_rows", "finite_row", "probability", "bare_cell",
 
 MANIFEST = "manifest.json"
 
-# characters a bare (unquoted) result CSV cell must not hold
-_NEEDS_QUOTES = frozenset(',"\n\r')
+# what a bare (unquoted) result CSV cell must not hold: , " and every C0 control and DEL
+_NEEDS_QUOTES = frozenset(',"\x7f' + "".join(map(chr, range(32))))
 
 T = TypeVar("T")
 
@@ -114,8 +114,8 @@ def probability(cell: str, what: str) -> float:
 
 def bare_cell(text: str, what: str) -> str:
     """``text`` unchanged if a result CSV can carry it as an unquoted cell:
-    non-empty and free of ``,"`` and line breaks.  ValueError naming
-    ``what`` otherwise."""
+    non-empty and free of ``,"``, control characters and DEL.  ValueError
+    naming ``what`` otherwise."""
     if not text or not _NEEDS_QUOTES.isdisjoint(text):
         raise ValueError(f"invalid {what} {text!r}")
     return text

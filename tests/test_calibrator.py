@@ -77,19 +77,24 @@ class TestOracle:
         assert m1 == pytest.approx(8.0 / 15.0, rel=1e-13)
         assert m2 == pytest.approx(0.8, rel=1e-13)
 
-    # the 2016 fixture's A/BBB and AAA/AA pairs, a pair already in order and a
-    # far-inverted one
-    @pytest.mark.parametrize("b,c", [(935, 1815), (15, 154), (10, 3), (50, 5000)])
+    # the 2016 fixture's A/BBB and AAA/AA pairs, a pair already in order, a far-inverted
+    # one and AAA/AA's refit lower grade Beta(1, 169) as the next pass meets it; each also
+    # with its shape of 1 as a moment refit in floats can round it, 1 - 3.6e-14
+    @pytest.mark.parametrize("b,c", [(935, 1815), (15, 154), (10, 3), (50, 5000), (169, 154)])
     def test_zero_default_pair_closed_form(self, b, c):
         # Beta(1, b) below Beta(1, c): the lower grade is exactly Beta(1, b + c)
-        m1, m2 = oracle_conditional_means_2grade(BetaParams(1, b), BetaParams(1, c))
-        assert m1 == pytest.approx(1.0 / (b + c + 1), rel=1e-13)
-        assert m2 == pytest.approx((b + c) / b * (1.0 / (c + 1) - c / ((b + c) * (b + c + 1))),
-                                   rel=1e-13)
+        for a in (1.0, 1.0 - 3.6e-14):
+            m1, m2 = oracle_conditional_means_2grade(BetaParams(a, b), BetaParams(1, c))
+            assert m1 == pytest.approx(1.0 / (b + c + 1), rel=1e-13)
+            assert m2 == pytest.approx((b + c) / b * (1.0 / (c + 1) - c / ((b + c) * (b + c + 1))),
+                                       rel=1e-13)
 
-    def test_needs_bounded_density(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            oracle_conditional_means_2grade(BetaParams(0.5, 2), BetaParams(1, 1))
+    def test_unbounded_density_closed_form(self):
+        # Beta(0.5, 2) below a uniform: the lower mean is a / (a + b + 1) and the upper
+        # (1 - E[theta_1^2]) / (2 (1 - E[theta_1])), with a density like t^-0.5 at 0
+        m1, m2 = oracle_conditional_means_2grade(BetaParams(0.5, 2), BetaParams(1, 1))
+        assert m1 == pytest.approx(1.0 / 7.0, rel=1e-13)
+        assert m2 == pytest.approx(4.0 / 7.0, rel=1e-13)
 
     def test_refuses_a_vanishing_acceptance(self):
         # P(theta_1 <= theta_2) is about 9e-145 here; the cells miss the overlap

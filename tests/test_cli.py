@@ -552,6 +552,21 @@ class TestBadInputCells:
         assert f"{kind}.csv: line 3: {message}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind,row,name", [
+        ("cohort", "T1,2,A\0x,900,7", "grade label 'A\\x00x'"),
+        ("external", "2,m\x1fx,0.01", "method name 'm\\x1fx'"),
+        ("newdata", "x\x7fy,0.3", "period 'x\\x7fy'"),
+    ], ids=["cohort-label-nul", "external-method-unit-separator", "newdata-period-del"])
+    def test_name_with_a_control_character_exits_2(self, tame_csv, tmp_path, capsys, kind, row,
+                                                    name):
+        # Python 3.10's csv module refuses a NUL before the reader's converter sees it
+        message = ("line contains NUL" if "\0" in row and sys.version_info < (3, 11)
+                   else f"invalid {name}")
+        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+        err = capsys.readouterr().err
+        assert f"{kind}.csv: line 3: {message}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["cohort", "external", "history", "calibration"])
     def test_cell_over_the_csv_field_limit_exits_2(self, tame_csv, tmp_path, capsys, kind):
         # the csv module refuses a cell of more than 131,072 characters
