@@ -128,8 +128,8 @@ def build_comparison(
     return {name: scale_to_ct(col, snapshot) for name, col in raw_columns.items()}
 
 
-def parse_external_csv(source) -> dict[str, dict[int, float]]:
-    """Read external method columns from `grade_order,method_name,pd` rows.
+def parse_external_csv(path) -> dict[str, dict[int, float]]:
+    """Read external method columns from the `grade_order,method_name,pd` rows at ``path``.
 
     Returns method name -> {grade_order: pd}; alignment with a snapshot's
     grade orders happens at comparison time.  A method name becomes a
@@ -149,7 +149,7 @@ def parse_external_csv(source) -> dict[str, dict[int, float]]:
             raise ValueError(f"duplicate grade order {order} for {name!r}")
         column[order] = pd
 
-    read_rows(source, EXTERNAL_HEADER, convert)
+    read_rows(path, EXTERNAL_HEADER, convert)
     if not methods:
         raise CohortError("no external method rows found")
     return methods

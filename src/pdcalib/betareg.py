@@ -145,25 +145,25 @@ def _regressors(y, k: int | None = None) -> list[tuple[float, ...]]:
     return rows
 
 
-def parse_history_csv(source) -> tuple[list[tuple[float, ...]], list[float]]:
-    """Read fitting history from `period,mu,y1,...,yk` rows.
+def parse_history_csv(path) -> tuple[list[tuple[float, ...]], list[float]]:
+    """Read fitting history from the `period,mu,y1,...,yk` rows at ``path``.
 
     Returns (n regressor rows, n means); the periods only label the rows.
     ``k`` may be zero (an intercept-only model).  Every number must be finite.
     """
-    rows = read_rows(source, lambda w: ("period", "mu", *(f"y{i}" for i in range(1, w - 1))),
+    rows = read_rows(path, lambda w: ("period", "mu", *(f"y{i}" for i in range(1, w - 1))),
                      lambda cells: finite_row(cells[1:]))
     if not rows:
         raise CohortError("history has no data rows")
     return [row[1:] for row in rows], [row[0] for row in rows]
 
 
-def parse_newdata_csv(source, k: int) -> tuple[list[str], list[tuple[float, ...]]]:
-    """Read regressor rows to predict from `period,y1,...,yk` rows.
+def parse_newdata_csv(path, k: int) -> tuple[list[str], list[tuple[float, ...]]]:
+    """Read regressor rows to predict from the `period,y1,...,yk` rows at ``path``.
 
     Returns (period labels, n regressor rows); zero rows is fine.  A period
     is written into predictions.csv, so it must need no CSV quoting.
     """
-    rows = read_rows(source, ("period", *(f"y{i}" for i in range(1, k + 1))),
+    rows = read_rows(path, ("period", *(f"y{i}" for i in range(1, k + 1))),
                      lambda cells: (bare_cell(cells[0], "period"), finite_row(cells[1:])))
     return [period for period, _ in rows], [y for _, y in rows]

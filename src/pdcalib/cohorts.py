@@ -79,8 +79,8 @@ class CohortSnapshot(namedtuple("CohortSnapshot", "period grades")):
         return sum(g.defaults_end for g in self.grades)
 
 
-def parse_cohort_csv(source) -> list[CohortSnapshot]:
-    """Parse cohort counts into one snapshot per period (sorted by period label).
+def parse_cohort_csv(path) -> list[CohortSnapshot]:
+    """Parse the cohort counts at ``path`` into one snapshot per period (sorted by label).
 
     Rows labelled ``DEFAULT_BUCKET_LABEL`` are validated then excluded.
     Raises CohortError with the offending line number on malformed rows,
@@ -104,7 +104,7 @@ def parse_cohort_csv(source) -> list[CohortSnapshot]:
             raise ValueError(f"duplicate grade order {grade.order} in period {period}")
         bucket[grade.order] = grade
 
-    read_rows(source, COHORT_HEADER, convert)
+    read_rows(path, COHORT_HEADER, convert)
     snapshots = [CohortSnapshot(period, tuple(bucket[o] for o in sorted(bucket)))
                  for period, bucket in sorted(per_period.items())]
     if not snapshots:

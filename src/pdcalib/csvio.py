@@ -15,7 +15,6 @@ when a command writes (``envelope``, ``json_text``), so ``--version``,
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import os
@@ -48,23 +47,20 @@ class CohortError(ValueError):
         super().__init__(message)
 
 
-def read_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]],
+def read_rows(path: str | os.PathLike, header: Sequence[str] | Callable[[int], Sequence[str]],
               convert: Callable[[list[str]], T]) -> list[T]:
-    """``convert`` applied to each data row of a CSV file, in file order.
+    """``convert`` applied to each data row of the CSV file at ``path``, in file order.
 
-    ``source`` is a path or an open text handle (read, not closed).
     ``header`` is the expected header, or, for formats with a variable
     number of columns, a function from the number of header cells to it.
     Raises CohortError for a missing or unexpected header, a row of the
     wrong width, a row the csv module cannot read, or a ``ValueError``
     raised by ``convert``, with the line, and for text that is not UTF-8.
     """
-    name = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
-    opened = (open(source, encoding="utf-8-sig", newline="") if name is not None
-              else contextlib.nullcontext(source))
+    name = os.fspath(path)
     expected = None
     out: list[T] = []
-    with opened as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             for row in reader:

@@ -25,3 +25,13 @@ def snapshot_2016(snapshots):
 @pytest.fixture(scope="session")
 def snapshot_2017(snapshots):
     return next(s for s in snapshots if s.period == "2017")
+
+
+@pytest.fixture
+def csv_file(tmp_path):
+    """A function that writes its text to ``input.csv`` under ``tmp_path`` and returns the path."""
+    def write(text: str) -> Path:
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+    return write

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -210,27 +209,27 @@ class TestExternalCsv:
     CSV = ("grade_order,method_name,pd\n"
            "1,qmm,0.0003\n2,qmm,0.0009\n1,cap,0.0026\n2,cap,0.0026\n")
 
-    def test_parse_and_align(self):
-        methods = parse_external_csv(io.StringIO(self.CSV))
+    def test_parse_and_align(self, csv_file):
+        methods = parse_external_csv(csv_file(self.CSV))
         assert set(methods) == {"qmm", "cap"}
         snapshot = snap([(1, "A", 10, 0), (2, "B", 10, 0)])
         aligned = align_external(methods, snapshot)
         assert aligned["qmm"] == [0.0003, 0.0009]
 
-    def test_missing_order_reported_by_name(self):
-        methods = parse_external_csv(io.StringIO(self.CSV))
+    def test_missing_order_reported_by_name(self, csv_file):
+        methods = parse_external_csv(csv_file(self.CSV))
         snapshot = snap([(1, "A", 10, 0), (2, "B", 10, 0), (3, "C", 10, 0)])
         with pytest.raises(ValueError, match="'qmm'.*order 3"):
             align_external(methods, snapshot)
 
-    def test_bad_header(self):
+    def test_bad_header(self, csv_file):
         with pytest.raises(ValueError, match="expected header"):
-            parse_external_csv(io.StringIO("a,b,c\n1,m,0.1\n"))
+            parse_external_csv(csv_file("a,b,c\n1,m,0.1\n"))
 
-    def test_pd_bounds_accepted(self):
-        methods = parse_external_csv(io.StringIO("grade_order,method_name,pd\n1,m,0\n2,m,1\n"))
+    def test_pd_bounds_accepted(self, csv_file):
+        methods = parse_external_csv(csv_file("grade_order,method_name,pd\n1,m,0\n2,m,1\n"))
         assert methods == {"m": {1: 0.0, 2: 1.0}}
 
-    def test_duplicate_order(self):
+    def test_duplicate_order(self, csv_file):
         with pytest.raises(ValueError, match="duplicate"):
-            parse_external_csv(io.StringIO("grade_order,method_name,pd\n1,m,0.1\n1,m,0.2\n"))
+            parse_external_csv(csv_file("grade_order,method_name,pd\n1,m,0.1\n1,m,0.2\n"))

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 from fractions import Fraction
@@ -171,36 +170,36 @@ class TestFit:
 
 
 class TestHistoryCsv:
-    def test_parse(self):
-        y, mu = parse_history_csv(io.StringIO(
+    def test_parse(self, csv_file):
+        y, mu = parse_history_csv(csv_file(
             "period,mu,y1,y2\n2016,0.1077,0.0,1.0\n2017,0.0847,1.0,-0.5\n"))
         assert y == [(0.0, 1.0), (1.0, -0.5)]
         assert mu == [0.1077, 0.0847]
 
-    def test_intercept_only_history(self):
-        y, mu = parse_history_csv(io.StringIO("period,mu\n2016,0.5\n"))
+    def test_intercept_only_history(self, csv_file):
+        y, mu = parse_history_csv(csv_file("period,mu\n2016,0.5\n"))
         assert y == [()]
         assert mu == [0.5]
 
-    def test_bad_header(self):
+    def test_bad_header(self, csv_file):
         with pytest.raises(ValueError, match="expected header"):
-            parse_history_csv(io.StringIO("time,mu\n2016,0.5\n"))
+            parse_history_csv(csv_file("time,mu\n2016,0.5\n"))
 
-    def test_malformed_value(self):
+    def test_malformed_value(self, csv_file):
         with pytest.raises(ValueError, match="line 2"):
-            parse_history_csv(io.StringIO("period,mu,y1\n2016,zzz,1.0\n"))
+            parse_history_csv(csv_file("period,mu,y1\n2016,zzz,1.0\n"))
 
 
 class TestNewdataCsv:
-    def test_parse(self):
-        periods, y = parse_newdata_csv(io.StringIO("period,y1,y2\n2018,0.5,-1\n2019,2,3\n"), 2)
+    def test_parse(self, csv_file):
+        periods, y = parse_newdata_csv(csv_file("period,y1,y2\n2018,0.5,-1\n2019,2,3\n"), 2)
         assert periods == ["2018", "2019"]
         assert y == [(0.5, -1.0), (2.0, 3.0)]
 
-    def test_no_rows(self):
-        periods, y = parse_newdata_csv(io.StringIO("period,y1\n"), 1)
+    def test_no_rows(self, csv_file):
+        periods, y = parse_newdata_csv(csv_file("period,y1\n"), 1)
         assert periods == [] and y == []
 
-    def test_header_follows_the_model(self):
+    def test_header_follows_the_model(self, csv_file):
         with pytest.raises(ValueError, match="expected header period,y1,y2"):
-            parse_newdata_csv(io.StringIO("period,y1\n2018,0.5\n"), 2)
+            parse_newdata_csv(csv_file("period,y1\n2018,0.5\n"), 2)

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -153,6 +154,7 @@ class TestCalibrateCommand:
         args = ["calibrate", "--input", str(fixture_csv), "--period", "2016", "--k-reps", "1",
                 "--threads", "1", "--out", str(tmp_path / "o")]
         assert main(args + ["--n-sim", "2000"]) == 3
+        assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert "pair 5" in err and "too far inverted" not in err
         needed = int(re.search(r"n_sim needs to be about (\d+) or more", err).group(1))
@@ -633,6 +635,22 @@ class TestImportFootprint:
 
     def test_importing_the_cli_loads_neither(self):
         assert self.modules_loaded("import pdcalib, pdcalib.cli") == []
+
+    def test_version_loads_none(self):
+        code = ("from pdcalib.cli import main\ntry:\n    main(['--version'])\n"
+                "except SystemExit as exc:\n    assert exc.code == 0")
+        assert self.modules_loaded(code) == []
+
+    def test_version_as_a_module_loads_none(self):
+        # `python -m pdcalib` runs `__main__`, which the in-process calls above skip
+        src = str(Path(pdcalib.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "pdcalib", "--version"],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == f"pdcalib {pdcalib.__version__}\n"
+        # each importtime line ends in "| <indent><module name>"
+        loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+        assert [m for m in self.MODULES if m in loaded] == []
 
     def test_calibrate_loads_both(self, tame_csv, tmp_path):
         argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",

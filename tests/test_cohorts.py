@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount, observed_default_rates,
@@ -25,30 +23,30 @@ class TestParse:
         cc = next(g for g in snapshot_2017.grades if g.label == "CC")
         assert (cc.order, cc.performing_start, cc.defaults_end) == (8, 28, 4)
 
-    def test_single_row(self):
-        snaps = parse_cohort_csv(io.StringIO(HEADER + "2016,5,BB,1470,60\n2016,6,B,1225,25\n"))
+    def test_single_row(self, csv_file):
+        snaps = parse_cohort_csv(csv_file(HEADER + "2016,5,BB,1470,60\n2016,6,B,1225,25\n"))
         assert snaps[0].grades[0] == GradeCount(5, "BB", 1470, 60)
 
-    def test_defaults_exceed_performing(self):
+    def test_defaults_exceed_performing(self, csv_file):
         with pytest.raises(CohortError, match=r"line 2: .*defaults exceed performing"):
-            parse_cohort_csv(io.StringIO(HEADER + "2016,5,BB,10,11\n"))
+            parse_cohort_csv(csv_file(HEADER + "2016,5,BB,10,11\n"))
 
-    def test_malformed_row_reports_line(self):
+    def test_malformed_row_reports_line(self, csv_file):
         with pytest.raises(CohortError, match="line 3"):
-            parse_cohort_csv(io.StringIO(HEADER + "2016,1,AAA,14,0\n2016,2,AA,x,0\n"))
+            parse_cohort_csv(csv_file(HEADER + "2016,1,AAA,14,0\n2016,2,AA,x,0\n"))
 
-    def test_duplicate_pair(self):
+    def test_duplicate_pair(self, csv_file):
         with pytest.raises(CohortError, match="duplicate"):
-            parse_cohort_csv(io.StringIO(HEADER + "2016,1,AAA,14,0\n2016,1,AAA,14,0\n"))
+            parse_cohort_csv(csv_file(HEADER + "2016,1,AAA,14,0\n2016,1,AAA,14,0\n"))
 
-    def test_default_bucket_accepted_but_excluded(self):
-        snaps = parse_cohort_csv(io.StringIO(
+    def test_default_bucket_accepted_but_excluded(self, csv_file):
+        snaps = parse_cohort_csv(csv_file(
             HEADER + "2016,1,AAA,14,0\n2016,2,AA,153,0\n2016,9,C/D,40,40\n"))
         assert [g.label for g in snaps[0].grades] == ["AAA", "AA"]
 
-    def test_bad_header(self):
+    def test_bad_header(self, csv_file):
         with pytest.raises(CohortError, match="expected header"):
-            parse_cohort_csv(io.StringIO("a,b,c\n1,2,3\n"))
+            parse_cohort_csv(csv_file("a,b,c\n1,2,3\n"))
 
     def test_byte_order_mark_is_not_part_of_the_header(self, fixture_csv, snapshots, tmp_path):
         # spreadsheet tools write UTF-8 with a leading byte-order mark
@@ -89,10 +87,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             GradeCount(1, "A", -1, 0)
 
-    def test_label_needing_csv_quotes_rejected(self):
+    def test_label_needing_csv_quotes_rejected(self, csv_file):
         # csv.reader reads """A as "A, which calibration.csv could not carry unquoted
         with pytest.raises(CohortError, match="line 2: invalid grade label"):
-            parse_cohort_csv(io.StringIO(HEADER + '2016,1,"""A",14,0\n'))
+            parse_cohort_csv(csv_file(HEADER + '2016,1,"""A",14,0\n'))
 
     def test_snapshot_order_enforced(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -1,8 +1,9 @@
 """Property tests on random portfolios and malformed input (hypothesis)."""
 
-import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,10 @@ def bad_history_rows(i):
 @given(data=st.data())
 def test_bad_row_reported_at_its_line(parse, header, good, bad, data):
     text, line = data.draw(csv_with_one_bad_row(header, good, bad))
-    with pytest.raises(CohortError) as excinfo:
-        parse(io.StringIO(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CohortError) as excinfo:
+            parse(path)
     assert excinfo.value.line == line
+    assert str(excinfo.value).startswith(f"{path}: line {line}: ")
