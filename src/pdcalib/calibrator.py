@@ -36,7 +36,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .statdist import BetaParams, NumericError, log_beta, rng_stream, sample_beta
+from .statdist import BetaParams, NumericError, _check_u64, log_beta, rng_stream, sample_beta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,6 +102,7 @@ class CalibrationConfig(namedtuple("CalibrationConfig", "n_sim k_reps seed ci_le
             raise ValueError(f"n_sim must be at least 1000, got {n_sim}")
         if k_reps < 1:
             raise ValueError(f"k_reps must be at least 1, got {k_reps}")
+        _check_u64("seed", seed)
         if not 0.0 < ci_level < 1.0:
             raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
         return super().__new__(cls, n_sim, k_reps, seed, ci_level)

@@ -78,6 +78,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    # refused before a run that can take minutes; created only by a run that succeeds
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"--out {out} exists and is not a directory")
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     cfg = CalibrationConfig(n_sim=args.n_sim, k_reps=args.k_reps, seed=args.seed, ci_level=args.ci)
     result = calibrate(compute_posterior(snapshot), cfg, workers=args.threads)
@@ -116,9 +120,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         **_numbered("acceptance_rate_pair_", result.pair_acceptance),
         **_numbered("mc_se_grade_", result.mc_se),
     }
-    write_outputs(args.out, files, manifest)
+    write_outputs(out, files, manifest)
     # histograms of an earlier run into this directory no longer match its manifest
-    for stale in Path(args.out).glob("hist_*.csv"):
+    for stale in out.glob("hist_*.csv"):
         if stale.name not in files:
             stale.unlink()
 
@@ -252,7 +256,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -62,6 +62,14 @@ class BetaParams(namedtuple("BetaParams", "alpha beta")):
         return super().__new__(cls, alpha, beta)
 
 
+def _check_u64(name: str, value: int) -> int:
+    """``value`` as an int, if it is one of the 2**64 keys of an ``rng_stream``."""
+    value = int(value)
+    if not 0 <= value <= _U64_MAX:
+        raise ValueError(f"{name} must fit in 64 bits, got {value}")
+    return value
+
+
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Reproducible, partitionable source of random variates.
 
@@ -76,12 +84,7 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     the numpy version, which does not promise stable distribution streams
     across releases.
     """
-    seed = int(seed)
-    stream_id = int(stream_id)
-    if not 0 <= seed <= _U64_MAX:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if not 0 <= stream_id <= _U64_MAX:
-        raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
+    seed, stream_id = _check_u64("seed", seed), _check_u64("stream_id", stream_id)
     from numpy.random import SFC64, Generator, SeedSequence
 
     return Generator(SFC64(SeedSequence(seed, spawn_key=(stream_id,))))
@@ -176,8 +179,6 @@ def binomial_tail_le(n: int, d: int, theta: float) -> float:
     Its front factor takes the logs from theta, exact where 1 - theta is rounded.  The
     continued fraction runs on I_{1-theta}(n - d, d + 1) below the symmetry switch
     1 - theta = (n - d + 1) / (n + 3), and on 1 - I_theta(d + 1, n - d) above it."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     if not 0 <= d <= n:
         raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
     if not 0.0 < theta < 1.0:

@@ -148,6 +148,11 @@ class TestFit:
             largest = max(map(abs, want))
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * largest, (n, k)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_logit_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"logit argument must lie in \(0, 1\)"):
+            logit(p)
+
     def test_mu_outside_unit_interval(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             fit([[0.0], [1.0]], [1.0, 0.5])

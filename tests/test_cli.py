@@ -216,6 +216,15 @@ class TestCalibrateCommand:
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_out_that_is_a_file_exits_2_before_the_run(self, tame_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("kept\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "parse_cohort_csv", None)  # the input is not even read
+        assert run_calibrate(tame_csv, out) == 2
+        assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
     def test_pass_budget_exhausted_exits_3(self, tmp_path, monkeypatch, capsys):
         # the portfolio of test_calibrator's pass-budget test, as counts
         path = tmp_path / "cohorts.csv"
@@ -636,6 +645,14 @@ class TestImportFootprint:
     def test_importing_the_cli_loads_neither(self):
         assert self.modules_loaded("import pdcalib, pdcalib.cli") == []
 
+    def test_importing_the_package_loads_none_of_its_modules(self):
+        src = str(Path(pdcalib.__file__).resolve().parents[1])
+        probe = (f"import sys; sys.path.insert(0, {src!r})\nimport pdcalib\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('pdcalib')))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout == "['pdcalib']\n"
+
     def test_version_loads_none(self):
         code = ("from pdcalib.cli import main\ntry:\n    main(['--version'])\n"
                 "except SystemExit as exc:\n    assert exc.code == 0")
@@ -659,10 +676,12 @@ class TestImportFootprint:
             "numpy.random", "concurrent.futures", "numpy", *self.WRITER]
 
     @pytest.mark.parametrize("option, value", [("--period", "T9"), ("--threads", "0"),
-                                               ("--input", "missing.csv")])
+                                               ("--input", "missing.csv"), ("--seed", "-1"),
+                                               ("--out", "a-file")])
     def test_calibrate_input_error_loads_no_numpy(self, tame_csv, tmp_path, option, value):
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
         args = {"--input": tame_csv, "--period": "T1", "--threads": 1, "--out": tmp_path / "o"}
-        args[option] = tmp_path / value if option == "--input" else value
+        args[option] = tmp_path / value if option in ("--input", "--out") else value
         argv = ["calibrate", *(x for pair in args.items() for x in pair)]
         assert self.modules_loaded(self.main_code(argv, status=2)) == []
 

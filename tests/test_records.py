@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from pdcalib import (BetaParams, CalibrationConfig, CalibrationResult, CohortSnapshot,
-                     GradeCount, SweepResult)
 from pdcalib.betareg import RegressionModel
+from pdcalib.calibrator import CalibrationConfig, CalibrationResult, SweepResult
+from pdcalib.cohorts import CohortSnapshot, GradeCount
+from pdcalib.statdist import BetaParams
 
 PARAMS = BetaParams(3.0, 99.0)
 GRADE = GradeCount(1, "A", 100, 2)
@@ -47,6 +48,8 @@ def test_fields_are_read_only(record):
      "period T1: grade orders must be strictly increasing"),
     (CohortSnapshot, ("T1", (GRADE, GradeCount(2, "A", 1, 0))), "period T1: duplicate grade labels"),
     (RegressionModel, (0.0, (1.0,), 0.0), "precision must be positive, got 0.0"),
+    (CalibrationConfig, (1000, 1, -1, 0.9), "seed must fit in 64 bits, got -1"),
+    (CalibrationConfig, (1000, 1, 1 << 64, 0.9), f"seed must fit in 64 bits, got {1 << 64}"),
 ])
 @pytest.mark.parametrize("by_name", [False, True], ids=["positional", "keyword"])
 def test_checks_keep_their_messages(cls, args, message, by_name):

@@ -212,8 +212,8 @@ class TestBinomialTail:
             assert binomial_tail_le(n, d, theta) == pytest.approx(want, rel=1e-11, abs=0.0), \
                 (n, d, theta)
 
-    @pytest.mark.parametrize("n,d,theta", [(10, 11, 0.5), (10, -1, 0.5),
-                                           (10, 5, 0.0), (10, 5, 1.0)])
+    @pytest.mark.parametrize("n,d,theta", [(10, 11, 0.5), (10, -1, 0.5), (-1, 0, 0.5),
+                                           (-1, -1, 0.5), (10, 5, 0.0), (10, 5, 1.0)])
     def test_domain_errors(self, n, d, theta):
         with pytest.raises(ValueError):
             binomial_tail_le(n, d, theta)
@@ -245,6 +245,16 @@ class TestSolveMonotone:
     def test_bracket_error(self):
         with pytest.raises(BracketError, match="target 2.0 not enclosed"):
             solve_monotone(lambda x: x, 2.0, 0.0, 1.0, fprime=lambda x: 1.0, x0=0.5)
+
+    @pytest.mark.parametrize("lo, hi, x0, message", [
+        (1.0, 1.0, 1.0, r"need lo < hi, got \[1.0, 1.0\]"),
+        (1.0, 0.0, 0.5, r"need lo < hi, got \[1.0, 0.0\]"),
+        (0.0, 1.0, 1.5, "x0 must lie inside"),
+        (0.0, 1.0, -0.5, "x0 must lie inside"),
+    ])
+    def test_bad_bracket_or_start(self, lo, hi, x0, message):
+        with pytest.raises(ValueError, match=message):
+            solve_monotone(lambda x: x, 0.25, lo, hi, fprime=lambda x: 1.0, x0=x0)
 
     def test_endpoint_hit(self):
         assert solve_monotone(lambda x: x, 0.0, 0.0, 1.0, fprime=lambda x: 1.0, x0=0.5) == 0.0
