@@ -28,16 +28,30 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .benchmarks import (align_external, build_comparison, central_tendency, parse_external_csv,
-                         pluto_tasche)
-from .betareg import LINK, parse_history_csv, parse_newdata_csv, predict_mean
-from .betareg import fit as fit_regression
-from .calibrator import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
-                         calibrate, export_histograms)
-from .cohorts import (CohortError, CohortSnapshot, compute_posterior, observed_default_rates,
-                      parse_cohort_csv)
-from .csvio import MANIFEST, csv_text, envelope, json_text, probability, read_rows, write_outputs
-from .statdist import NumericError
+
+# Each command loads only the modules it runs.  The benchmark's trace and the tests replace
+# these names on this module, so each is imported on its first use here (``__getattr__``),
+# and a command takes its names through this module: a replacement set here is what it calls.
+_DEFINED_IN = {name: f"{module}.{name}" for module, names in (
+    ("benchmarks", "align_external build_comparison central_tendency parse_external_csv "
+                   "pluto_tasche"),
+    ("betareg", "LINK parse_history_csv parse_newdata_csv predict_mean"),
+    ("calibrator", "_MAX_PASSES _MAX_RESAMPLE_ROUNDS _MIN_ACCEPTED CalibrationConfig calibrate "
+                   "export_histograms"),
+    ("cohorts", "compute_posterior observed_default_rates parse_cohort_csv"),
+    ("csvio", "MANIFEST CohortError csv_text envelope json_text probability read_rows "
+              "write_outputs"),
+) for name in names.split()} | {"fit_regression": "betareg.fit"}
+
+
+def __getattr__(name: str):
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module, _, attr = _DEFINED_IN[name].rpartition(".")
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), attr)
+    return value
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,7 +62,8 @@ CALIBRATION_HEADER = ("grade_order", "label", "n", "d", "observed_rate",
 _MEAN = CALIBRATION_HEADER.index("mean")
 
 
-def _select_snapshot(snapshots, period: str) -> CohortSnapshot:
+def _select_snapshot(snapshots, period: str):
+    from .cli import CohortError
     for snap in snapshots:
         if snap.period == period:
             return snap
@@ -75,15 +90,21 @@ def _numbered(prefix: str, values) -> dict:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .cli import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
+                      calibrate, compute_posterior, csv_text, envelope, export_histograms,
+                      observed_default_rates, parse_cohort_csv, write_outputs)
     started = time.perf_counter()
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     # refused before a run that can take minutes; created only by a run that succeeds
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise ValueError(f"--out {out} exists and is not a directory")
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        below = "" if nearest == out else f" lies below {nearest}, which"
+        raise ValueError(f"--out {out}{below} exists and is not a directory")
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
-    cfg = CalibrationConfig(n_sim=args.n_sim, k_reps=args.k_reps, seed=args.seed, ci_level=args.ci)
+    cfg = CalibrationConfig(**{key: value for key, value in vars(args).items()
+                               if key in CalibrationConfig._fields})
     result = calibrate(compute_posterior(snapshot), cfg, workers=args.threads)
     warnings = [f"grade {g.label}: empty cohort, posterior equals the prior"
                 for g in snapshot.grades if g.performing_start == 0]
@@ -135,6 +156,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .cli import (CohortError, align_external, build_comparison, central_tendency, csv_text,
+                      envelope, parse_cohort_csv, parse_external_csv, pluto_tasche, probability,
+                      read_rows, write_outputs)
     started = time.perf_counter()
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     # (grade order, label, n, d, mean) of each calibrated grade
@@ -174,6 +198,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .cli import (LINK, MANIFEST, csv_text, envelope, fit_regression, json_text,
+                      parse_history_csv, parse_newdata_csv, predict_mean, write_outputs)
     started = time.perf_counter()
     y_history, mu_history = parse_history_csv(args.history)
     model = fit_regression(y_history, mu_history)
@@ -212,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="calibrate one period's PDs")
     cal.add_argument("--input", required=True, type=Path, help="cohort CSV")
     cal.add_argument("--period", required=True, help="period label to calibrate")
-    defaults = CalibrationConfig()
-    cal.add_argument("--n-sim", dest="n_sim", type=int, default=defaults.n_sim)
-    cal.add_argument("--k-reps", dest="k_reps", type=int, default=defaults.k_reps)
-    cal.add_argument("--seed", type=int, default=defaults.seed)
-    cal.add_argument("--ci", type=float, default=defaults.ci_level)
+    # dests named as CalibrationConfig's fields: an option not given takes its default there
+    cal.add_argument("--n-sim", dest="n_sim", type=int, default=argparse.SUPPRESS)
+    cal.add_argument("--k-reps", dest="k_reps", type=int, default=argparse.SUPPRESS)
+    cal.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    cal.add_argument("--ci", dest="ci_level", metavar="CI", type=float, default=argparse.SUPPRESS)
     cal.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="threads running the repetitions (affects speed only)")
     cal.add_argument("--out", required=True, help="output directory")
@@ -249,10 +275,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # first, since BracketError and VarianceTooLargeError are also ValueErrors
-    except NumericError as exc:
+    except Exception as exc:
+        from .statdist import NumericError  # loaded only once a command has failed
+        if not isinstance(exc, (NumericError, OSError, ValueError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # NumericError first, since BracketError and VarianceTooLargeError are also ValueErrors
+        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_INPUT

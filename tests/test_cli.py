@@ -218,12 +218,32 @@ class TestCalibrateCommand:
 
     def test_out_that_is_a_file_exits_2_before_the_run(self, tame_csv, tmp_path, capsys,
                                                         monkeypatch):
-        out = tmp_path / "out"
-        out.write_text("kept\n", encoding="utf-8")
+        afile = tmp_path / "out"
+        afile.write_text("kept\n", encoding="utf-8")
         monkeypatch.setattr(cli, "parse_cohort_csv", None)  # the input is not even read
-        assert run_calibrate(tame_csv, out) == 2
-        assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
-        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert run_calibrate(tame_csv, afile) == 2
+        assert capsys.readouterr().err == f"error: --out {afile} exists and is not a directory\n"
+        # below a file, mkdir would fail only after the run
+        assert run_calibrate(tame_csv, afile / "sub") == 2
+        assert capsys.readouterr().err == (f"error: --out {afile / 'sub'} lies below {afile}, "
+                                           "which exists and is not a directory\n")
+        assert afile.read_text(encoding="utf-8") == "kept\n"
+
+    def test_omitted_options_take_the_config_defaults(self, tame_csv, tmp_path, monkeypatch,
+                                                     capsys):
+        seen = []
+
+        def capture(posterior, cfg, workers):  # records the config instead of running
+            seen.append(cfg)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "calibrate", capture)
+        argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert main([*argv, "--n-sim", "2000", "--ci", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: captured\n" * 2
+        assert seen == [calibrator.CalibrationConfig(),
+                        calibrator.CalibrationConfig(n_sim=2000, ci_level=0.5)]
 
     def test_pass_budget_exhausted_exits_3(self, tmp_path, monkeypatch, capsys):
         # the portfolio of test_calibrator's pass-budget test, as counts
@@ -628,15 +648,29 @@ class TestImportFootprint:
                "statistics", "dataclasses", "hashlib", "json")
     WRITER = ["hashlib", "json"]
 
+    @staticmethod
+    def loaded_after(code: str) -> set[str]:
+        """Every module in ``sys.modules`` after ``code`` runs in a fresh process."""
+        src = str(Path(pdcalib.__file__).resolve().parents[1])
+        probe = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint(sorted(sys.modules))"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+    @classmethod
+    def of_interest(cls, loaded) -> list[str]:
+        """Those of ``MODULES`` in ``loaded``, in that order."""
+        return [m for m in cls.MODULES if m in loaded]
+
     @classmethod
     def modules_loaded(cls, code: str) -> list[str]:
         """Those of ``MODULES`` that ``code`` loads, in that order."""
-        src = str(Path(pdcalib.__file__).resolve().parents[1])
-        probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
-                 f"print([m for m in {cls.MODULES!r} if m in sys.modules])")
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              check=True)
-        return ast.literal_eval(done.stdout.splitlines()[-1])
+        return cls.of_interest(cls.loaded_after(code))
+
+    @staticmethod
+    def package_modules(loaded) -> set[str]:
+        """The modules of ``loaded`` inside the package, without the package's prefix."""
+        return {m.removeprefix("pdcalib.") for m in loaded if m.startswith("pdcalib.")}
 
     @staticmethod
     def main_code(argv, status: int = 0) -> str:
@@ -656,7 +690,9 @@ class TestImportFootprint:
     def test_version_loads_none(self):
         code = ("from pdcalib.cli import main\ntry:\n    main(['--version'])\n"
                 "except SystemExit as exc:\n    assert exc.code == 0")
-        assert self.modules_loaded(code) == []
+        loaded = self.loaded_after(code)
+        assert self.of_interest(loaded) == []
+        assert self.package_modules(loaded) == {"cli"} and "csv" not in loaded
 
     def test_version_as_a_module_loads_none(self):
         # `python -m pdcalib` runs `__main__`, which the in-process calls above skip
@@ -667,17 +703,21 @@ class TestImportFootprint:
         assert done.stdout == f"pdcalib {pdcalib.__version__}\n"
         # each importtime line ends in "| <indent><module name>"
         loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
-        assert [m for m in self.MODULES if m in loaded] == []
+        assert self.of_interest(loaded) == []
+        assert self.package_modules(loaded) == {"cli"} and "csv" not in loaded
 
     def test_calibrate_loads_both(self, tame_csv, tmp_path):
         argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
                 "--k-reps", "1", "--threads", "1", "--out", tmp_path / "out"]
-        assert self.modules_loaded(self.main_code(argv)) == [
+        loaded = self.loaded_after(self.main_code(argv))
+        assert self.of_interest(loaded) == [
             "numpy.random", "concurrent.futures", "numpy", *self.WRITER]
+        assert self.package_modules(loaded) == {"cli", "cohorts", "csvio", "statdist",
+                                                "calibrator"}
 
     @pytest.mark.parametrize("option, value", [("--period", "T9"), ("--threads", "0"),
                                                ("--input", "missing.csv"), ("--seed", "-1"),
-                                               ("--out", "a-file")])
+                                               ("--out", "a-file"), ("--out", "a-file/sub")])
     def test_calibrate_input_error_loads_no_numpy(self, tame_csv, tmp_path, option, value):
         (tmp_path / "a-file").write_text("", encoding="utf-8")
         args = {"--input": tame_csv, "--period": "T1", "--threads": 1, "--out": tmp_path / "o"}
@@ -689,7 +729,10 @@ class TestImportFootprint:
         assert run_calibrate(tame_csv, tmp_path / "calib") == 0
         argv = ["compare", "--input", tame_csv, "--period", "T1",
                 "--calibration", tmp_path / "calib" / "calibration.csv", "--out", tmp_path / "cmp"]
-        assert self.modules_loaded(self.main_code(argv)) == self.WRITER
+        loaded = self.loaded_after(self.main_code(argv))
+        assert self.of_interest(loaded) == self.WRITER
+        assert self.package_modules(loaded) == {"cli", "cohorts", "csvio", "statdist",
+                                                "benchmarks"}
 
     def test_predict_loads_no_numpy(self, tmp_path):
         history = tmp_path / "history.csv"
@@ -697,7 +740,9 @@ class TestImportFootprint:
         newdata = tmp_path / "newdata.csv"
         newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
         argv = ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]
-        assert self.modules_loaded(self.main_code(argv)) == self.WRITER
+        loaded = self.loaded_after(self.main_code(argv))
+        assert self.of_interest(loaded) == self.WRITER
+        assert self.package_modules(loaded) == {"cli", "csvio", "betareg"}
 
 
 def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
@@ -732,3 +777,45 @@ def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
     assert len(sweeps) == 2 and all(s.attrs["pairs"] == 7 for s in sweeps)
     metrics = run.layer_metrics(tracer.spans, run.self_times(tracer.spans), 0, len(tracer.spans))
     assert metrics["statdist.draws"] > 0 and metrics["betareg.fit_s"] > 0.0
+
+
+def test_trace_hooks_resolve_before_any_command(tame_csv, tmp_path):
+    # test_traced_benchmark_hooks runs after other tests have run commands; here a fresh
+    # process wraps every name `perfbench/run.py --trace 1` wraps on `cli` before any has run
+    traced = {"parse_cohort_csv": "cohorts", "compute_posterior": "cohorts",
+              "calibrate": "calibrator", "export_histograms": "calibrator",
+              "pluto_tasche": "benchmarks", "parse_external_csv": "benchmarks",
+              "align_external": "benchmarks", "build_comparison": "benchmarks",
+              "parse_history_csv": "betareg", "fit_regression": "betareg.fit",
+              "predict_mean": "betareg"}
+    external = tmp_path / "external.csv"
+    external.write_text("grade_order,method_name,pd\n1,ext,0.01\n2,ext,0.02\n3,ext,0.03\n",
+                        encoding="utf-8")
+    history = tmp_path / "history.csv"
+    history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
+    newdata = tmp_path / "newdata.csv"
+    newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
+    calls = [["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
+              "--k-reps", "1", "--threads", "1", "--emit-histograms", "--out", tmp_path / "c"],
+             ["compare", "--input", tame_csv, "--period", "T1", "--calibration",
+              tmp_path / "c" / "calibration.csv", "--external", external, "--out", tmp_path / "m"],
+             ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]]
+    src = str(Path(pdcalib.__file__).resolve().parents[1])
+    probe = f"""import sys; sys.path.insert(0, {src!r})
+from importlib import import_module
+from pdcalib import cli
+called = []
+for name, where in {traced!r}.items():
+    module, _, attr = where.partition(".")
+    original = getattr(cli, name)
+    assert original is getattr(import_module("pdcalib." + module), attr or name), name
+    def wrapper(*args, _name=name, _original=original, **kwargs):
+        called.append(_name)
+        return _original(*args, **kwargs)
+    setattr(cli, name, wrapper)
+for argv in {[list(map(str, call)) for call in calls]!r}:
+    assert cli.main(argv) == 0, argv
+print(sorted(set(called)))"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert ast.literal_eval(done.stdout.splitlines()[-1]) == sorted(traced)
