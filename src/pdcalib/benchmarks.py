@@ -22,14 +22,6 @@ from .cohorts import CohortSnapshot
 from .csvio import CohortError, bare_cell, probability, read_rows
 from .statdist import _normal_quantile, binomial_tail_le, log_beta, solve_monotone
 
-__all__ = [
-    "central_tendency",
-    "pluto_tasche",
-    "scale_to_ct",
-    "build_comparison",
-    "parse_external_csv",
-]
-
 EXTERNAL_HEADER = ("grade_order", "method_name", "pd")
 
 # the columns of comparison.csv that are not external methods

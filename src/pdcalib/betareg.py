@@ -20,9 +20,6 @@ from operator import add, mul
 
 from .csvio import CohortError, bare_cell, finite_row, read_rows
 
-__all__ = ["LINK", "RegressionModel", "fit", "predict_mean", "parse_history_csv",
-           "parse_newdata_csv", "logit", "inv_logit"]
-
 LINK = "logit"
 
 _MU_CLIP = 1e-15

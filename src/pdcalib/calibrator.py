@@ -19,10 +19,13 @@ per grade.  Repeating the sweep ``k_reps`` times from the raw posteriors
 (the label -> Beta mapping of ``cohorts.compute_posterior``, best grade
 first), each repetition on its own random stream, yields a sampling
 distribution per grade from which the point estimate, median, confidence
-bounds and Monte-Carlo standard error are reported.  The repetitions run
-on threads of this one process (the beta sampler and numpy's array loops
-release the interpreter lock); results are bit-reproducible for a fixed
-(seed, config, data, numpy version) regardless of the thread count.
+bounds and Monte-Carlo standard error are reported.  The bounds are the
+spread of the repetition means: Monte-Carlo noise that shrinks roughly like
+1/sqrt(n_sim), not the uncertainty of a grade's default rate.  The
+repetitions run on threads of this one process (the beta sampler and
+numpy's array loops release the interpreter lock); results are
+bit-reproducible for a fixed (seed, config, data, numpy version)
+regardless of the thread count.
 ``calibrate`` is the only caller of ``rng_stream`` and the only user of a
 thread pool.  numpy, its sampler and ``concurrent.futures`` are imported
 when a function that uses them runs, not with the module.
@@ -40,20 +43,6 @@ from .statdist import BetaParams, NumericError, _check_u64, log_beta, rng_stream
 
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = [
-    "CalibrationConfig",
-    "SweepResult",
-    "CalibrationResult",
-    "VarianceTooLargeError",
-    "InsufficientAcceptanceError",
-    "SweepNotConvergedError",
-    "fit_beta_moments",
-    "run_sweep",
-    "calibrate",
-    "oracle_conditional_means_2grade",
-    "export_histograms",
-]
 
 # Guard band for the moment-matching precondition s^2 < mean*(1-mean).
 _VARIANCE_GUARD = 1e-12
@@ -130,12 +119,15 @@ class CalibrationResult(NamedTuple):
 
     Point estimates are means over repetitions; the confidence bounds are
     the empirical (1-ci)/2 and 1-(1-ci)/2 quantiles of the per-repetition
-    calibrated means (linear interpolation between order statistics).
+    calibrated means (linear interpolation between order statistics).  They
+    measure Monte-Carlo noise, which shrinks roughly like 1/sqrt(n_sim), not
+    the uncertainty of a grade's default rate.
     ``mc_se`` is the Monte-Carlo standard error of each point estimate, the
     repetition means' sample sd over sqrt(k_reps), or None for every grade
     when k_reps is 1.  ``sweep_means`` keeps the full k_reps x n_grades
     matrix for histogram export.  ``alpha_hat``/``beta_hat`` are arithmetic
-    means of the per-repetition fitted shapes; ``draws_total`` and
+    means of the per-repetition fitted shapes, so the mean of
+    Beta(alpha_hat, beta_hat) is not ``grade_means``; ``draws_total`` and
     ``topup_blocks_total`` are the sweeps' counts summed.  The matrix makes
     a result unhashable and its comparison ambiguous.
     """
@@ -297,8 +289,7 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
         sweeps = list(pool.map(sweep, range(cfg.k_reps)))
 
     mean_matrix = np.array([s.means for s in sweeps])
-    alphas = np.array([[p.alpha for p in s.params] for s in sweeps])
-    betas = np.array([[p.beta for p in s.params] for s in sweeps])
+    alpha_hat, beta_hat = np.array([s.params for s in sweeps]).mean(axis=0).T
     acceptance = np.array([s.acceptance_rates for s in sweeps]).mean(axis=0)
     k = cfg.k_reps
     ordered = np.sort(mean_matrix, axis=0)
@@ -318,8 +309,8 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
         ci_upper=tuple(float(v) for v in quantile(1.0 - tail)),
         mc_se=(tuple(float(v) for v in mean_matrix.std(axis=0, ddof=1) / math.sqrt(k))
                if k > 1 else (None,) * len(post)),
-        alpha_hat=tuple(float(v) for v in alphas.mean(axis=0)),
-        beta_hat=tuple(float(v) for v in betas.mean(axis=0)),
+        alpha_hat=tuple(float(v) for v in alpha_hat),
+        beta_hat=tuple(float(v) for v in beta_hat),
         sweep_means=mean_matrix,
         pair_acceptance=tuple(float(v) for v in acceptance),
         passes=tuple(s.passes for s in sweeps),

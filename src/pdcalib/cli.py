@@ -242,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--n-sim", dest="n_sim", type=int, default=argparse.SUPPRESS)
     cal.add_argument("--k-reps", dest="k_reps", type=int, default=argparse.SUPPRESS)
     cal.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    cal.add_argument("--ci", dest="ci_level", metavar="CI", type=float, default=argparse.SUPPRESS)
+    cal.add_argument("--ci", dest="ci_level", metavar="CI", type=float, default=argparse.SUPPRESS,
+                     help="level of ci_lo/ci_hi, the spread of the k_reps repetition means: "
+                          "Monte-Carlo noise shrinking like 1/sqrt(n_sim), not a default "
+                          "rate's uncertainty")
     cal.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="threads running the repetitions (affects speed only)")
     cal.add_argument("--out", required=True, help="output directory")

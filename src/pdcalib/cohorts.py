@@ -10,7 +10,6 @@ quality.  A grade label is written bare into result files, so it must be
 non-empty, need no CSV quoting and hold no control character.  A row
 labelled ``C/D``, the default bucket, is validated and then dropped: the
 default bucket is an absorbing state, not a calibratable grade.
-``CohortError`` lives in ``csvio`` and is re-exported here.
 
 With the flat Beta(1, 1) prior, a grade with n performing entities of
 which d defaulted has the conjugate posterior Beta(1 + d, 1 + n - d); a
@@ -24,15 +23,6 @@ from collections import namedtuple
 
 from .csvio import CohortError, bare_cell, read_rows
 from .statdist import BetaParams
-
-__all__ = [
-    "CohortError",
-    "GradeCount",
-    "CohortSnapshot",
-    "parse_cohort_csv",
-    "observed_default_rates",
-    "compute_posterior",
-]
 
 COHORT_HEADER = ("period", "grade_order", "grade_label", "performing_start", "defaults_end")
 

@@ -24,9 +24,6 @@ from typing import Callable, Sequence, TypeVar
 
 from . import __version__
 
-__all__ = ["CohortError", "read_rows", "finite_row", "probability", "bare_cell", "csv_text",
-           "json_text", "write_outputs", "envelope"]
-
 MANIFEST = "manifest.json"
 
 # what a bare (unquoted) result CSV cell must not hold: , " and every C0 control and DEL

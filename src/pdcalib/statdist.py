@@ -25,9 +25,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["BetaParams", "rng_stream", "NumericError", "BracketError", "ConvergenceError",
-           "sample_beta", "log_beta", "binomial_tail_le", "solve_monotone"]
-
 _U64_MAX = (1 << 64) - 1
 _SOLVE_MAX_STEPS = 200
 _SOLVE_TOL = 1e-12

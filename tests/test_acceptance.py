@@ -1,9 +1,9 @@
 """End-to-end acceptance gate.
 
 Each test prints one PASS/FAIL line (run pytest with ``-s`` to see them
-live).  The expensive full-size calibration runs once per session and is
-shared.  Expected wall time for the whole module: a few minutes on a
-2-core box.
+live).  The full-size calibration is a module-scoped fixture that only
+test 01 uses.  Tests 01 and 02 take about a minute on 2 vCPU (55-70 s);
+the other tests of the module take seconds.
 """
 
 import math

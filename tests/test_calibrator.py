@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ from pdcalib.calibrator import (CalibrationConfig, InsufficientAcceptanceError,
                                 SweepNotConvergedError, VarianceTooLargeError, calibrate,
                                 export_histograms, fit_beta_moments,
                                 oracle_conditional_means_2grade, run_sweep)
+from pdcalib.cohorts import compute_posterior
 from pdcalib.statdist import BetaParams, rng_stream, sample_beta
 
 FAST = dict(n_sim=2000, k_reps=3, seed=9)
@@ -317,6 +319,15 @@ class TestCalibrate:
         large = calibrate(post, CalibrationConfig(n_sim=1000, k_reps=1200, seed=21))
         for se_small, se_large in zip(small.mc_se, large.mc_se):
             assert se_small / se_large == pytest.approx(2.0, rel=0.25)
+
+    def test_ci_width_is_monte_carlo_noise(self, snapshot_2017):
+        # ci_lo/ci_hi are the spread of the repetition means, so at 4x the n_sim the width
+        # should about halve: a ratio near 1 would not shrink, one near 4 would go like 1/n_sim
+        post = compute_posterior(snapshot_2017)
+        widths = [np.subtract(res.ci_upper, res.ci_lower) for res in (
+            calibrate(post, CalibrationConfig(n_sim=n_sim, k_reps=40, seed=11),
+                      workers=os.cpu_count() or 1) for n_sim in (20_000, 80_000))]
+        assert 1.5 <= float(np.median(widths[0] / widths[1])) <= 3.2
 
 
 class TestHistograms:

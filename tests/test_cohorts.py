@@ -1,7 +1,7 @@
 import pytest
 
-from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount, observed_default_rates,
-                             parse_cohort_csv)
+from pdcalib.cohorts import CohortSnapshot, GradeCount, observed_default_rates, parse_cohort_csv
+from pdcalib.csvio import CohortError
 
 HEADER = "period,grade_order,grade_label,performing_start,defaults_end\n"
 

@@ -18,8 +18,8 @@ from pdcalib.benchmarks import (central_tendency, parse_external_csv,  # noqa: E
                                 pluto_tasche, scale_to_ct)
 from pdcalib.betareg import parse_history_csv  # noqa: E402
 from pdcalib.calibrator import oracle_conditional_means_2grade  # noqa: E402
-from pdcalib.cohorts import (CohortError, CohortSnapshot, GradeCount,  # noqa: E402
-                             parse_cohort_csv)
+from pdcalib.cohorts import CohortSnapshot, GradeCount, parse_cohort_csv  # noqa: E402
+from pdcalib.csvio import CohortError  # noqa: E402
 from pdcalib.statdist import BetaParams  # noqa: E402
 
 
