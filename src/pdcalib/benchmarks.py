@@ -56,12 +56,9 @@ def pluto_tasche(snapshot: CohortSnapshot, confidence: float = 0.75) -> list[flo
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     z = _normal_quantile(confidence)
-    pools, n, d = [], 0, 0
-    for g in reversed(snapshot.grades):
-        n, d = n + g.performing_start, d + g.defaults_end
-        pools.append((n, d))
     pds, floor = [], 0.0
-    for n, d in reversed(pools):
+    n, d = snapshot.total_performing, snapshot.total_defaults
+    for g in snapshot.grades:  # n, d: the pooled counts of g and every worse grade
         pd = 1.0
         if d < n:  # so n > 0
             a, b, s = d + 1.0, float(n - d), n + 1.0
@@ -79,6 +76,7 @@ def pluto_tasche(snapshot: CohortSnapshot, confidence: float = 0.75) -> list[flo
                                 _THETA_LO, _THETA_HI, fprime=tail_slope, x0=x0)
         floor = max(floor, pd)
         pds.append(floor)
+        n, d = n - g.performing_start, d - g.defaults_end
     return pds
 
 

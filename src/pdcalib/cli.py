@@ -29,18 +29,14 @@ from pathlib import Path
 
 from . import __version__
 
-# Each command loads only the modules it runs.  The benchmark's trace and the tests replace
-# these names on this module, so each is imported on its first use here (``__getattr__``),
-# and a command takes its names through this module: a replacement set here is what it calls.
+# Only the hooks the benchmark's trace and three tests replace on this module: each is imported
+# on first use here (``__getattr__``), so a replacement set here is what a command calls.  A
+# command imports every other name it runs in its body, from the module that defines it.
 _DEFINED_IN = {name: f"{module}.{name}" for module, names in (
-    ("benchmarks", "align_external build_comparison central_tendency parse_external_csv "
-                   "pluto_tasche"),
-    ("betareg", "LINK parse_history_csv parse_newdata_csv predict_mean"),
-    ("calibrator", "_MAX_PASSES _MAX_RESAMPLE_ROUNDS _MIN_ACCEPTED CalibrationConfig calibrate "
-                   "export_histograms"),
-    ("cohorts", "compute_posterior observed_default_rates parse_cohort_csv"),
-    ("csvio", "MANIFEST CohortError csv_text envelope json_text probability read_rows "
-              "write_outputs"),
+    ("benchmarks", "align_external build_comparison parse_external_csv pluto_tasche"),
+    ("betareg", "parse_history_csv predict_mean"),
+    ("calibrator", "calibrate export_histograms"),
+    ("cohorts", "compute_posterior parse_cohort_csv"),
 ) for name in names.split()} | {"fit_regression": "betareg.fit"}
 
 
@@ -63,7 +59,7 @@ _MEAN = CALIBRATION_HEADER.index("mean")
 
 
 def _select_snapshot(snapshots, period: str):
-    from .cli import CohortError
+    from .csvio import CohortError
     for snap in snapshots:
         if snap.period == period:
             return snap
@@ -90,9 +86,10 @@ def _numbered(prefix: str, values) -> dict:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .cli import (_MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig,
-                      calibrate, compute_posterior, csv_text, envelope, export_histograms,
-                      observed_default_rates, parse_cohort_csv, write_outputs)
+    from .calibrator import _MAX_PASSES, _MAX_RESAMPLE_ROUNDS, _MIN_ACCEPTED, CalibrationConfig
+    from .cli import calibrate, compute_posterior, export_histograms, parse_cohort_csv
+    from .cohorts import observed_default_rates
+    from .csvio import csv_text, envelope, write_outputs
     started = time.perf_counter()
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
@@ -156,9 +153,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .cli import (CohortError, align_external, build_comparison, central_tendency, csv_text,
-                      envelope, parse_cohort_csv, parse_external_csv, pluto_tasche, probability,
-                      read_rows, write_outputs)
+    from .benchmarks import central_tendency
+    from .cli import (align_external, build_comparison, parse_cohort_csv, parse_external_csv,
+                      pluto_tasche)
+    from .csvio import CohortError, csv_text, envelope, probability, read_rows, write_outputs
     started = time.perf_counter()
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     # (grade order, label, n, d, mean) of each calibrated grade
@@ -198,8 +196,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from .cli import (LINK, MANIFEST, csv_text, envelope, fit_regression, json_text,
-                      parse_history_csv, parse_newdata_csv, predict_mean, write_outputs)
+    from .betareg import LINK, parse_newdata_csv
+    from .cli import fit_regression, parse_history_csv, predict_mean
+    from .csvio import MANIFEST, csv_text, envelope, json_text, write_outputs
     started = time.perf_counter()
     y_history, mu_history = parse_history_csv(args.history)
     model = fit_regression(y_history, mu_history)

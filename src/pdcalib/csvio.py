@@ -33,10 +33,9 @@ T = TypeVar("T")
 
 
 class CohortError(ValueError):
-    """Malformed or inconsistent input.  Carries a line number when known."""
+    """Malformed or inconsistent input; the message names the file and line when known."""
 
     def __init__(self, message: str, line: int | None = None, source: str | None = None) -> None:
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         if source is not None:

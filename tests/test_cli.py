@@ -788,6 +788,7 @@ def test_trace_hooks_resolve_before_any_command(tame_csv, tmp_path):
               "align_external": "benchmarks", "build_comparison": "benchmarks",
               "parse_history_csv": "betareg", "fit_regression": "betareg.fit",
               "predict_mean": "betareg"}
+    assert set(cli._DEFINED_IN) == set(traced)  # the table holds these hooks and nothing else
     external = tmp_path / "external.csv"
     external.write_text("grade_order,method_name,pd\n1,ext,0.01\n2,ext,0.02\n3,ext,0.03\n",
                         encoding="utf-8")
@@ -819,3 +820,17 @@ print(sorted(set(called)))"""
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert ast.literal_eval(done.stdout.splitlines()[-1]) == sorted(traced)
+
+
+def test_names_other_than_hooks_resolve_on_their_module_at_call_time(tmp_path, monkeypatch):
+    # a command takes csv_text from csvio on each call, not from a copy cached by an earlier one
+    history = tmp_path / "history.csv"
+    history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
+    newdata = tmp_path / "newdata.csv"
+    newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
+    argv = ["predict", "--history", str(history), "--newdata", str(newdata), "--out"]
+    assert main([*argv, str(tmp_path / "first")]) == 0
+    assert (tmp_path / "first" / "predictions.csv").read_text(encoding="utf-8").startswith("# ")
+    monkeypatch.setattr(csvio, "csv_text", lambda header, rows: "stub\n")
+    assert main([*argv, str(tmp_path / "second")]) == 0
+    assert (tmp_path / "second" / "predictions.csv").read_text(encoding="utf-8") == "stub\n"

@@ -4,11 +4,15 @@ A name is public when it has no leading underscore; no module keeps an
 ``__all__`` list, and no caller takes a name through a module that only
 imported it.  The test reads with ``ast`` every ``from pdcalib.<module>
 import <names>`` (and ``from pdcalib import <names>``) in the tests, the
-benchmark scripts and the README's ``python`` blocks, and checks that each
-name is bound at the top level of that module's source by ``def``,
-``class`` or an assignment (or, for the package itself, is a submodule).
-The sources are found through the imported package's ``__file__``, so an
-installed package is checked as installed.
+benchmark scripts and the README's ``python`` blocks, and every
+``from .<module> import <names>`` in the package's own modules, and
+checks that each name is bound at the top level of that module's source
+by ``def``, ``class`` or an assignment (or, for the package itself, is a
+submodule).  The one exception is ``cli``'s import of itself: a command
+takes through ``cli`` only the hooks of its ``_DEFINED_IN`` table, which
+the benchmark's trace replaces there, and every other name it runs from
+the module that defines it.  The sources are found through the imported
+package's ``__file__``, so an installed package is checked as installed.
 """
 
 import ast
@@ -57,4 +61,21 @@ def test_each_imported_name_is_defined_where_it_is_imported_from():
             wrong += [f"{where}:{node.lineno}: {a.name} is not defined in {node.module}"
                       for a in node.names if a.name not in modules.get(module, ())]
     assert seen == {"tests", "perfbench", "README.md"}, seen
+    assert not wrong, "\n".join(wrong)
+
+
+def test_the_package_imports_each_name_from_the_module_that_defines_it():
+    from pdcalib import cli
+    modules = {p.stem: defined_names(p) for p in PACKAGE.glob("*.py")}
+    wrong = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            module = node.module or "__init__"
+            # cli imports from itself only the hooks the benchmark's trace replaces there
+            own = (path.stem, module) == ("cli", "cli")
+            allowed = set(cli._DEFINED_IN) if own else modules[module]
+            wrong += [f"{path.name}:{node.lineno}: from .{node.module or ''} import {a.name}"
+                      for a in node.names if a.name not in allowed]
     assert not wrong, "\n".join(wrong)

@@ -222,5 +222,4 @@ def test_bad_row_reported_at_its_line(parse, header, good, bad, data):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CohortError) as excinfo:
             parse(path)
-    assert excinfo.value.line == line
     assert str(excinfo.value).startswith(f"{path}: line {line}: ")
