@@ -141,7 +141,7 @@ def parse_external_csv(path) -> dict[str, dict[int, float]]:
 
     read_rows(path, EXTERNAL_HEADER, convert)
     if not methods:
-        raise CohortError("no external method rows found")
+        raise CohortError("no external method rows found", source=str(path))
     return methods
 
 

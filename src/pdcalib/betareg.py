@@ -146,12 +146,18 @@ def parse_history_csv(path) -> tuple[list[tuple[float, ...]], list[float]]:
     """Read fitting history from the `period,mu,y1,...,yk` rows at ``path``.
 
     Returns (n regressor rows, n means); the periods only label the rows.
-    ``k`` may be zero (an intercept-only model).  Every number must be finite.
+    ``k`` may be zero (an intercept-only model).  Every number must be finite,
+    and ``mu`` must lie in (0, 1), as ``fit`` requires.
     """
-    rows = read_rows(path, lambda w: ("period", "mu", *(f"y{i}" for i in range(1, w - 1))),
-                     lambda cells: finite_row(cells[1:]))
+    def convert(cells: list[str]) -> tuple[float, ...]:
+        row = finite_row(cells[1:])
+        if not 0.0 < row[0] < 1.0:
+            raise ValueError(f"mu must lie in (0, 1), got {cells[1]}")
+        return row
+
+    rows = read_rows(path, lambda w: ("period", "mu", *(f"y{i}" for i in range(1, w - 1))), convert)
     if not rows:
-        raise CohortError("history has no data rows")
+        raise CohortError("history has no data rows", source=str(path))
     return [row[1:] for row in rows], [row[0] for row in rows]
 
 

@@ -29,8 +29,8 @@ from pathlib import Path
 
 from . import __version__
 
-# Only the hooks the benchmark's trace and three tests replace on this module: each is imported
-# on first use here (``__getattr__``), so a replacement set here is what a command calls.  A
+# Only the hooks the benchmark's trace wraps on this module.  ``__getattr__`` keeps no copy: a
+# command calls a wrapper set here, or else what the defining module holds when it runs.  A
 # command imports every other name it runs in its body, from the module that defines it.
 _DEFINED_IN = {name: f"{module}.{name}" for module, names in (
     ("benchmarks", "align_external build_comparison parse_external_csv pluto_tasche"),
@@ -45,8 +45,7 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
     module, _, attr = _DEFINED_IN[name].rpartition(".")
-    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), attr)
-    return value
+    return getattr(import_module(f"{__package__}.{module}"), attr)
 
 
 EXIT_OK = 0

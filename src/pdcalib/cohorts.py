@@ -98,7 +98,7 @@ def parse_cohort_csv(path) -> list[CohortSnapshot]:
     snapshots = [CohortSnapshot(period, tuple(bucket[o] for o in sorted(bucket)))
                  for period, bucket in sorted(per_period.items())]
     if not snapshots:
-        raise CohortError("no cohort rows found")
+        raise CohortError("no cohort rows found", source=str(path))
     return snapshots
 
 

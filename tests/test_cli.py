@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdcalib
-from pdcalib import calibrator, cli, csvio, statdist
+from pdcalib import benchmarks, betareg, calibrator, cli, cohorts, csvio, statdist
 from pdcalib.cli import main
 from pdcalib.cohorts import compute_posterior, parse_cohort_csv
 
@@ -220,7 +220,7 @@ class TestCalibrateCommand:
                                                         monkeypatch):
         afile = tmp_path / "out"
         afile.write_text("kept\n", encoding="utf-8")
-        monkeypatch.setattr(cli, "parse_cohort_csv", None)  # the input is not even read
+        monkeypatch.setattr(cohorts, "parse_cohort_csv", None)  # the input is not even read
         assert run_calibrate(tame_csv, afile) == 2
         assert capsys.readouterr().err == f"error: --out {afile} exists and is not a directory\n"
         # below a file, mkdir would fail only after the run
@@ -237,7 +237,7 @@ class TestCalibrateCommand:
             seen.append(cfg)
             raise ValueError("captured")
 
-        monkeypatch.setattr(cli, "calibrate", capture)
+        monkeypatch.setattr(calibrator, "calibrate", capture)
         argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert main([*argv, "--n-sim", "2000", "--ci", "0.5"]) == 2
@@ -326,7 +326,7 @@ class TestCompareCommand:
             raise statdist.BracketError("target 0.75 not enclosed")
 
         # BracketError is also a ValueError, which alone would mean exit 2
-        monkeypatch.setattr(cli, "pluto_tasche", fail)
+        monkeypatch.setattr(benchmarks, "pluto_tasche", fail)
         rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
                    "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
         assert rc == 3
@@ -509,11 +509,11 @@ def test_numeric_errors_share_one_base_and_keep_their_own(cls, base):
     *(pytest.param(option, None, "{path}", id=option)
       for option in ("--input", "--calibration", "--external", "--history", "--newdata")),
     pytest.param("--input", "", "{path}: missing header", id="--input-empty"),
-    pytest.param("--input", TAME_CSV.splitlines()[0] + "\n", "no cohort rows found",
+    pytest.param("--input", TAME_CSV.splitlines()[0] + "\n", "{path}: no cohort rows found",
                  id="--input-header-only"),
-    pytest.param("--external", "grade_order,method_name,pd\n", "no external method rows found",
-                 id="--external-header-only"),
-    pytest.param("--history", "period,mu,y1\n", "history has no data rows",
+    pytest.param("--external", "grade_order,method_name,pd\n",
+                 "{path}: no external method rows found", id="--external-header-only"),
+    pytest.param("--history", "period,mu,y1\n", "{path}: history has no data rows",
                  id="--history-header-only"),
 ])
 def test_missing_input_exits_2(tame_csv, tmp_path, capsys, option, text, message):
@@ -622,6 +622,8 @@ class TestBadInputCells:
         ("external", "2,q,-0.01", "pd must lie in [0, 1], got -0.01"),
         ("history", "b,0.3,nan", "non-finite number 'nan'"),
         ("history", "b,inf,1", "non-finite number 'inf'"),
+        ("history", "b,1.0,1", "mu must lie in (0, 1), got 1.0"),
+        ("history", "b,0,1", "mu must lie in (0, 1), got 0"),
         ("newdata", "g,nan", "non-finite number 'nan'"),
         ("newdata", "g,-inf", "non-finite number '-inf'"),
         ("calibration", "nan", "non-finite number 'nan'"),
@@ -773,6 +775,9 @@ def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
                      "--out", str(tmp_path / "p")]) == 0
     finally:
         tracer.uninstall()
+        # uninstall sets the originals on cli, where they would shadow their defining modules
+        for name in cli._DEFINED_IN:
+            vars(cli).pop(name, None)
     sweeps = [s for s in tracer.spans if s.name == "calibrator.run_sweep"]
     assert len(sweeps) == 2 and all(s.attrs["pairs"] == 7 for s in sweeps)
     metrics = run.layer_metrics(tracer.spans, run.self_times(tracer.spans), 0, len(tracer.spans))
@@ -822,15 +827,32 @@ print(sorted(set(called)))"""
     assert ast.literal_eval(done.stdout.splitlines()[-1]) == sorted(traced)
 
 
-def test_names_other_than_hooks_resolve_on_their_module_at_call_time(tmp_path, monkeypatch):
-    # a command takes csv_text from csvio on each call, not from a copy cached by an earlier one
+def predict_argv(tmp_path: Path) -> list[str]:
+    """``predict`` of d at y1 = 3 from a three-period history, up to its ``--out``."""
     history = tmp_path / "history.csv"
     history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
     newdata = tmp_path / "newdata.csv"
     newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
-    argv = ["predict", "--history", str(history), "--newdata", str(newdata), "--out"]
+    return ["predict", "--history", str(history), "--newdata", str(newdata), "--out"]
+
+
+def test_names_other_than_hooks_resolve_on_their_module_at_call_time(tmp_path, monkeypatch):
+    # a command takes csv_text from csvio on each call, not from a copy cached by an earlier one
+    argv = predict_argv(tmp_path)
     assert main([*argv, str(tmp_path / "first")]) == 0
     assert (tmp_path / "first" / "predictions.csv").read_text(encoding="utf-8").startswith("# ")
     monkeypatch.setattr(csvio, "csv_text", lambda header, rows: "stub\n")
     assert main([*argv, str(tmp_path / "second")]) == 0
     assert (tmp_path / "second" / "predictions.csv").read_text(encoding="utf-8") == "stub\n"
+
+
+def test_hooks_resolve_on_their_module_at_call_time(tmp_path, monkeypatch):
+    # cli keeps no copy of a hook, and no earlier test (the traced one included) left one there
+    assert not vars(cli).keys() & cli._DEFINED_IN.keys()
+    argv = predict_argv(tmp_path)
+    assert main([*argv, str(tmp_path / "first")]) == 0
+    assert not vars(cli).keys() & cli._DEFINED_IN.keys()
+    assert read_csv_rows(tmp_path / "first" / "predictions.csv")[1] == [["d", "0.5252643349381377"]]
+    monkeypatch.setattr(betareg, "predict_mean", lambda model, y: [0.5 for _ in y])
+    assert main([*argv, str(tmp_path / "second")]) == 0
+    assert read_csv_rows(tmp_path / "second" / "predictions.csv")[1] == [["d", "0.5"]]

@@ -10,9 +10,11 @@ checks that each name is bound at the top level of that module's source
 by ``def``, ``class`` or an assignment (or, for the package itself, is a
 submodule).  The one exception is ``cli``'s import of itself: a command
 takes through ``cli`` only the hooks of its ``_DEFINED_IN`` table, which
-the benchmark's trace replaces there, and every other name it runs from
-the module that defines it.  The sources are found through the imported
-package's ``__file__``, so an installed package is checked as installed.
+the benchmark's trace wraps there and which ``cli`` resolves from their
+defining modules on every use without keeping a copy, and every other
+name it runs from the module that defines it.  The sources are found
+through the imported package's ``__file__``, so an installed package is
+checked as installed.
 """
 
 import ast

@@ -88,6 +88,16 @@ class TestSampleBeta:
         se = math.sqrt(0.125 / 200_000)
         assert abs(draws.mean() - 0.5) < 4.0 * se
 
+    def test_draws_on_the_bounds_are_clipped_inside(self):
+        # at shapes of 1e-3, about a quarter of numpy's raw draws on this stream are exactly
+        # 0 and half exactly 1; the sampler moves those inside and keeps every other draw
+        raw = rng_stream(1, 0).beta(1e-3, 1e-3, 100_000)
+        inside = (raw > 0.0) & (raw < 1.0)
+        assert (raw == 0.0).any() and (raw == 1.0).any()
+        draws = sample_beta(BetaParams(1e-3, 1e-3), rng_stream(1, 0), size=100_000)
+        assert draws.min() > 0.0 and draws.max() < 1.0
+        assert np.array_equal(draws[inside], raw[inside])
+
     def test_negative_size_raises(self):
         with pytest.raises(ValueError):
             sample_beta(BetaParams(2, 3), rng_stream(42, 0), size=-1)
