@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import snap
 from pdcalib import benchmarks
 from pdcalib.benchmarks import (align_external, build_comparison, central_tendency,
                                 parse_external_csv, pluto_tasche, scale_to_ct)
-from pdcalib.cohorts import CohortSnapshot, GradeCount
-
-
-def snap(rows, period="t"):
-    return CohortSnapshot(period, tuple(GradeCount(o, lbl, n, d) for o, lbl, n, d in rows))
+from pdcalib.cohorts import CohortSnapshot
 
 
 def raw_bound(snapshot, i, confidence=0.75):

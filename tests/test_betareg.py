@@ -72,7 +72,8 @@ class TestPredict:
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 class TestNonFiniteRegressors:
-    # LAPACK would print DLASCL complaints to the process stderr on a nan design
+    # a non-finite regressor is refused before any arithmetic, and nothing reaches the
+    # process stderr
     def test_fit_rejects(self, bad, capfd):
         with pytest.raises(ValueError, match="regressors must be finite"):
             fit([[bad], [1.0], [2.0]], [0.1, 0.2, 0.3])

@@ -11,31 +11,11 @@ import numpy as np
 import pytest
 
 import pdcalib
+from conftest import COHORT_HEADER, TAME_CSV, run_calibrate, run_cli
 from pdcalib import benchmarks, betareg, calibrator, cli, cohorts, csvio, statdist
-from pdcalib.cli import main
 from pdcalib.cohorts import compute_posterior, parse_cohort_csv
 
-TAME_CSV = """period,grade_order,grade_label,performing_start,defaults_end
-T1,1,A,800,8
-T1,2,B,900,7
-T1,3,C,400,20
-"""
-
-
-@pytest.fixture()
-def tame_csv(tmp_path: Path) -> Path:
-    path = tmp_path / "cohorts.csv"
-    path.write_text(TAME_CSV, encoding="utf-8")
-    return path
-
-
-def run_calibrate(csv_path: Path, out: Path, **overrides) -> int:
-    args = ["calibrate", "--input", str(csv_path), "--period", "T1",
-            "--n-sim", "1000", "--k-reps", "4", "--seed", "7", "--threads", "1",
-            "--out", str(out)]
-    for flag, value in overrides.items():
-        args += [f"--{flag.replace('_', '-')}", str(value)]
-    return main(args)
+SRC = str(Path(pdcalib.__file__).resolve().parents[1])  # the directory holding the package
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -112,28 +92,24 @@ class TestCalibrateCommand:
         for row in rows:
             assert row[7] == row[8] == row[9] == row[10]
 
-    def test_empty_cohort_warning(self, tmp_path, capsys):
-        cohorts = tmp_path / "cohorts.csv"
-        cohorts.write_text(f"{TAME_CSV.splitlines()[0]}\nT1,1,A,0,0\nT1,2,B,500,5\n",
-                           encoding="utf-8")
+    def test_empty_cohort_warning(self, csv_file, tmp_path, capsys):
+        path = csv_file(COHORT_HEADER + "T1,1,A,0,0\nT1,2,B,500,5\n")
         out = tmp_path / "out"
-        assert run_calibrate(cohorts, out, n_sim=2000, k_reps=2, seed=3) == 0
+        assert run_calibrate(path, out, n_sim=2000, k_reps=2, seed=3) == 0
         warning = "grade A: empty cohort, posterior equals the prior"
         assert capsys.readouterr().err.splitlines() == [f"warning: {warning}"]
         assert json.loads((out / "manifest.json").read_text())["warnings"] == warning
 
     def test_unknown_period_exits_2(self, tame_csv, tmp_path, capsys):
-        rc = main(["calibrate", "--input", str(tame_csv), "--period", "T9",
-                   "--n-sim", "1000", "--k-reps", "1", "--out", str(tmp_path / "o")])
+        rc = run_cli(["calibrate", "--input", tame_csv, "--period", "T9",
+                      "--n-sim", 1000, "--k-reps", 1, "--out", tmp_path / "o"])
         assert rc == 2
         assert "T9" in capsys.readouterr().err
 
-    def test_calibration_failure_exits_3(self, tmp_path, capsys):
-        bad = tmp_path / "inverted.csv"
-        bad.write_text("period,grade_order,grade_label,performing_start,defaults_end\n"
-                       "T1,1,A,10000,5000\nT1,2,B,10000,0\n", encoding="utf-8")
-        rc = main(["calibrate", "--input", str(bad), "--period", "T1", "--n-sim", "1000",
-                   "--k-reps", "1", "--threads", "1", "--out", str(tmp_path / "o")])
+    def test_calibration_failure_exits_3(self, csv_file, tmp_path, capsys):
+        bad = csv_file(COHORT_HEADER + "T1,1,A,10000,5000\nT1,2,B,10000,0\n")
+        rc = run_cli(["calibrate", "--input", bad, "--period", "T1", "--n-sim", 1000,
+                      "--k-reps", 1, "--threads", 1, "--out", tmp_path / "o"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "order constraint" in err and "too far inverted" in err
@@ -151,15 +127,15 @@ class TestCalibrateCommand:
 
     def test_thin_acceptance_names_a_workable_n_sim(self, fixture_csv, tmp_path, capsys):
         # period 2016 keeps about 0.1% of pair 5's draws: 2000 is too few
-        args = ["calibrate", "--input", str(fixture_csv), "--period", "2016", "--k-reps", "1",
-                "--threads", "1", "--out", str(tmp_path / "o")]
-        assert main(args + ["--n-sim", "2000"]) == 3
+        args = ["calibrate", "--input", fixture_csv, "--period", "2016", "--k-reps", 1,
+                "--threads", 1, "--out", tmp_path / "o"]
+        assert run_cli(args + ["--n-sim", 2000]) == 3
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert "pair 5" in err and "too far inverted" not in err
         needed = int(re.search(r"n_sim needs to be about (\d+) or more", err).group(1))
         assert needed > 2000 and needed % 1000 == 0
-        assert main(args + ["--n-sim", str(needed)]) == 0
+        assert run_cli(args + ["--n-sim", needed]) == 0
 
     def test_thread_count_does_not_change_bytes(self, tame_csv, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
@@ -180,10 +156,10 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("k_reps", [5, 1])
     def test_histograms_emitted(self, tame_csv, tmp_path, k_reps):
         out = tmp_path / "out"
-        args = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
-                "--k-reps", str(k_reps), "--seed", "1", "--threads", "1", "--out", str(out),
+        args = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", 1000,
+                "--k-reps", k_reps, "--seed", 1, "--threads", 1, "--out", out,
                 "--emit-histograms"]
-        assert main(args) == 0
+        assert run_cli(args) == 0
         for order in (1, 2, 3):
             header, rows = read_csv_rows(out / f"hist_{order}.csv")
             assert header == ["bin_lo", "bin_hi", "count"]
@@ -191,13 +167,13 @@ class TestCalibrateCommand:
 
     def test_rerun_without_histograms_removes_old_ones(self, tame_csv, tmp_path):
         out = tmp_path / "out"
-        args = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
-                "--k-reps", "3", "--threads", "1", "--out", str(out)]
-        assert main(args + ["--emit-histograms"]) == 0
+        args = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", 1000,
+                "--k-reps", 3, "--threads", 1, "--out", out]
+        assert run_cli(args + ["--emit-histograms"]) == 0
         assert sorted(p.name for p in out.glob("hist_*.csv")) == [
             "hist_1.csv", "hist_2.csv", "hist_3.csv"]
         (out / "notes.txt").write_text("kept\n", encoding="utf-8")
-        assert main(args) == 0
+        assert run_cli(args) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "calibration.csv", "manifest.json", "notes.txt"]
         assert json.loads((out / "manifest.json").read_text())["emit_histograms"] is False
@@ -238,28 +214,25 @@ class TestCalibrateCommand:
             raise ValueError("captured")
 
         monkeypatch.setattr(calibrator, "calibrate", capture)
-        argv = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--out", str(tmp_path)]
-        assert main(argv) == 2
-        assert main([*argv, "--n-sim", "2000", "--ci", "0.5"]) == 2
+        argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--out", tmp_path]
+        assert run_cli(argv) == 2
+        assert run_cli([*argv, "--n-sim", 2000, "--ci", 0.5]) == 2
         assert capsys.readouterr().err == "error: captured\n" * 2
         assert seen == [calibrator.CalibrationConfig(),
                         calibrator.CalibrationConfig(n_sim=2000, ci_level=0.5)]
 
-    def test_pass_budget_exhausted_exits_3(self, tmp_path, monkeypatch, capsys):
+    def test_pass_budget_exhausted_exits_3(self, csv_file, tmp_path, monkeypatch, capsys):
         # the portfolio of test_calibrator's pass-budget test, as counts
-        path = tmp_path / "cohorts.csv"
-        path.write_text("period,grade_order,grade_label,performing_start,defaults_end\n"
-                        "T1,1,A,400,16\nT1,2,B,200,4\nT1,3,C,400,10\n", encoding="utf-8")
+        path = csv_file(COHORT_HEADER + "T1,1,A,400,16\nT1,2,B,200,4\nT1,3,C,400,10\n")
         monkeypatch.setattr(calibrator, "_MAX_PASSES", 1)
         assert run_calibrate(path, tmp_path / "out", n_sim=2000, k_reps=1, seed=5) == 3
         assert "after 1 passes" in capsys.readouterr().err
 
-    def test_pretty_prints_percentages(self, tmp_path, capsys):
+    def test_pretty_prints_percentages(self, csv_file, tmp_path, capsys):
         # grade C near 15%: its cells are wider than the header "ci_hi"
-        path = tmp_path / "cohorts.csv"
-        path.write_text(TAME_CSV.replace("400,20", "400,60"), encoding="utf-8")
-        rc = main(["calibrate", "--input", str(path), "--period", "T1", "--n-sim", "1000",
-                   "--k-reps", "2", "--threads", "1", "--out", str(tmp_path / "out"), "--pretty"])
+        path = csv_file(TAME_CSV.replace("400,20", "400,60"))
+        rc = run_cli(["calibrate", "--input", path, "--period", "T1", "--n-sim", 1000,
+                      "--k-reps", 2, "--threads", 1, "--out", tmp_path / "out", "--pretty"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"3 +C +(1\d\.\d\d% +){3}1\d\.\d\d%", lines[-1])
@@ -267,16 +240,10 @@ class TestCalibrateCommand:
 
 
 class TestCompareCommand:
-    def setup_outputs(self, tame_csv, tmp_path):
-        calib_out = tmp_path / "calib"
-        assert run_calibrate(tame_csv, calib_out) == 0
-        return calib_out / "calibration.csv"
-
-    def test_two_method_table(self, tame_csv, tmp_path):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
+    def test_two_method_table(self, tame_csv, tame_calibration, tmp_path):
         out = tmp_path / "cmp"
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
-                   "--calibration", str(calibration), "--out", str(out)])
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T1",
+                      "--calibration", tame_calibration, "--out", out])
         assert rc == 0
         header, rows = read_csv_rows(out / "comparison.csv")
         assert header == ["grade_order", "label", "simulated", "pluto_tasche"]
@@ -285,15 +252,11 @@ class TestCompareCommand:
         assert manifest["central_tendency"] == pytest.approx(35 / 2100)
         assert manifest["pt_confidence"] == 0.75
 
-    def test_external_column_passthrough(self, tame_csv, tmp_path):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
-        external = tmp_path / "ext.csv"
-        external.write_text("grade_order,method_name,pd\n1,qmm,0.004\n2,qmm,0.009\n3,qmm,0.08\n",
-                            encoding="utf-8")
+    def test_external_column_passthrough(self, tame_csv, tame_calibration, external_csv, tmp_path):
         out = tmp_path / "cmp"
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
-                   "--calibration", str(calibration), "--external", str(external),
-                   "--out", str(out)])
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T1",
+                      "--calibration", tame_calibration, "--external", external_csv,
+                      "--out", out])
         assert rc == 0
         header, rows = read_csv_rows(out / "comparison.csv")
         assert header[-1] == "qmm"
@@ -301,64 +264,57 @@ class TestCompareCommand:
         # scaled copy preserves the input's relative ordering
         assert qmm[0] < qmm[1] < qmm[2]
 
-    def test_external_missing_grade_exits_2(self, tame_csv, tmp_path, capsys):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
-        external = tmp_path / "ext.csv"
-        external.write_text("grade_order,method_name,pd\n1,qmm,0.004\n", encoding="utf-8")
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
-                   "--calibration", str(calibration), "--external", str(external),
-                   "--out", str(tmp_path / "cmp")])
+    def test_external_missing_grade_exits_2(self, tame_csv, tame_calibration, csv_file, tmp_path,
+                                            capsys):
+        external = csv_file("grade_order,method_name,pd\n1,qmm,0.004\n")
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T1",
+                      "--calibration", tame_calibration, "--external", external,
+                      "--out", tmp_path / "cmp"])
         assert rc == 2
         assert "qmm" in capsys.readouterr().err
 
-    def test_unconverged_tail_exits_3(self, tame_csv, tmp_path, monkeypatch, capsys):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
+    def test_unconverged_tail_exits_3(self, tame_csv, tame_calibration, tmp_path, monkeypatch,
+                                      capsys):
         monkeypatch.setattr(statdist, "_cont_frac_budget", lambda a, b: 2)
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
-                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T1",
+                      "--calibration", tame_calibration, "--out", tmp_path / "cmp"])
         assert rc == 3
         assert "did not converge" in capsys.readouterr().err
 
-    def test_bracket_error_exits_3_not_2(self, tame_csv, tmp_path, monkeypatch, capsys):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
-
+    def test_bracket_error_exits_3_not_2(self, tame_csv, tame_calibration, tmp_path, monkeypatch,
+                                         capsys):
         def fail(snapshot, confidence):
             raise statdist.BracketError("target 0.75 not enclosed")
 
         # BracketError is also a ValueError, which alone would mean exit 2
         monkeypatch.setattr(benchmarks, "pluto_tasche", fail)
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
-                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T1",
+                      "--calibration", tame_calibration, "--out", tmp_path / "cmp"])
         assert rc == 3
         assert "error: target 0.75 not enclosed" in capsys.readouterr().err
 
-    def test_mismatched_calibration_exits_2(self, tame_csv, tmp_path, capsys):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
-        other = tmp_path / "other.csv"
-        other.write_text("period,grade_order,grade_label,performing_start,defaults_end\n"
-                         "T1,1,X,800,8\nT1,2,Y,900,7\n", encoding="utf-8")
-        rc = main(["compare", "--input", str(other), "--period", "T1",
-                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+    def test_mismatched_calibration_exits_2(self, tame_calibration, csv_file, tmp_path, capsys):
+        other = csv_file(COHORT_HEADER + "T1,1,X,800,8\nT1,2,Y,900,7\n")
+        rc = run_cli(["compare", "--input", other, "--period", "T1",
+                      "--calibration", tame_calibration, "--out", tmp_path / "cmp"])
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
 
-    def test_calibration_of_another_period_exits_2(self, tame_csv, tmp_path, capsys):
+    def test_calibration_of_another_period_exits_2(self, tame_csv, tame_calibration, tmp_path,
+                                                   capsys):
         # T2 has T1's grade orders and labels but its own counts
-        calibration = self.setup_outputs(tame_csv, tmp_path)
         with tame_csv.open("a", encoding="utf-8") as handle:
             handle.write("T2,1,A,600,3\nT2,2,B,900,7\nT2,3,C,400,20\n")
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T2",
-                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp")])
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T2",
+                      "--calibration", tame_calibration, "--out", tmp_path / "cmp"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "calibration.csv: calibration mismatch" in err and "period T2" in err
         assert not (tmp_path / "cmp").exists()
 
-    def test_pretty_prints_percentages(self, tame_csv, tmp_path, capsys):
-        calibration = self.setup_outputs(tame_csv, tmp_path)
-        capsys.readouterr()
-        rc = main(["compare", "--input", str(tame_csv), "--period", "T1",
-                   "--calibration", str(calibration), "--out", str(tmp_path / "cmp"), "--pretty"])
+    def test_pretty_prints_percentages(self, tame_csv, tame_calibration, tmp_path, capsys):
+        rc = run_cli(["compare", "--input", tame_csv, "--period", "T1",
+                      "--calibration", tame_calibration, "--out", tmp_path / "cmp", "--pretty"])
         assert rc == 0
         title, header, *rows = capsys.readouterr().out.splitlines()
         assert title == "Scaled PD comparison, period T1 (central tendency 1.67%)"
@@ -369,23 +325,15 @@ class TestCompareCommand:
 
 
 class TestPredictCommand:
-    def write_history(self, tmp_path, text):
-        path = tmp_path / "history.csv"
-        path.write_text(text, encoding="utf-8")
-        return path
-
-    def test_noiseless_coefficients_echoed(self, tmp_path):
-        import math
+    def test_noiseless_coefficients_echoed(self, csv_file, tmp_path):
         rows = ["period,mu,y1"]
         for i, y in enumerate([-2.0, -1.0, 0.0, 1.0, 2.0]):
             mu = 1.0 / (1.0 + math.exp(-(-3.0 + 0.6 * y)))
             rows.append(f"p{i},{mu!r},{y}")
-        history = self.write_history(tmp_path, "\n".join(rows) + "\n")
-        newdata = tmp_path / "new.csv"
-        newdata.write_text("period,y1\nf1,0.5\n", encoding="utf-8")
+        history = csv_file("\n".join(rows) + "\n", "history.csv")
+        newdata = csv_file("period,y1\nf1,0.5\n", "new.csv")
         out = tmp_path / "pred"
-        assert main(["predict", "--history", str(history), "--newdata", str(newdata),
-                     "--out", str(out)]) == 0
+        assert run_cli(["predict", "--history", history, "--newdata", newdata, "--out", out]) == 0
         model = json.loads((out / "model.json").read_text())
         assert model["intercept"] == pytest.approx(-3.0, abs=1e-8)
         assert model["coefficient_1"] == pytest.approx(0.6, abs=1e-8)
@@ -393,36 +341,32 @@ class TestPredictCommand:
         expected = 1.0 / (1.0 + math.exp(-(-3.0 + 0.6 * 0.5)))
         assert float(rows[0][1]) == pytest.approx(expected, abs=1e-8)
 
-    def test_empty_newdata_gives_model_only(self, tmp_path):
-        history = self.write_history(tmp_path, "period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n")
-        newdata = tmp_path / "new.csv"
-        newdata.write_text("period,y1\n", encoding="utf-8")
+    def test_empty_newdata_gives_model_only(self, history_csv, csv_file, tmp_path):
+        newdata = csv_file("period,y1\n")
         out = tmp_path / "pred"
-        assert main(["predict", "--history", str(history), "--newdata", str(newdata),
-                     "--out", str(out)]) == 0
+        assert run_cli(["predict", "--history", history_csv, "--newdata", newdata,
+                        "--out", out]) == 0
         _, rows = read_csv_rows(out / "predictions.csv")
         assert rows == []
         assert (out / "model.json").is_file()
 
-    def test_malformed_history_exits_2(self, tmp_path, capsys):
-        history = self.write_history(tmp_path, "period,mu,y1\na,not-a-number,0\n")
-        newdata = tmp_path / "new.csv"
-        newdata.write_text("period,y1\n", encoding="utf-8")
-        rc = main(["predict", "--history", str(history), "--newdata", str(newdata),
-                   "--out", str(tmp_path / "pred")])
+    def test_malformed_history_exits_2(self, newdata_csv, csv_file, tmp_path, capsys):
+        history = csv_file("period,mu,y1\na,not-a-number,0\n")
+        rc = run_cli(["predict", "--history", history, "--newdata", newdata_csv,
+                      "--out", tmp_path / "pred"])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_pretty_prints_percentages(self, tmp_path, capsys):
+    def test_pretty_prints_percentages(self, csv_file, tmp_path, capsys):
         # noiseless history on logit(mu) = -1 + y / 2
-        history = self.write_history(tmp_path, "period,mu,y1\n" + "".join(
+        history = csv_file("period,mu,y1\n" + "".join(
             f"p{y},{1.0 / (1.0 + math.exp(1.0 - y / 2.0))!r},{y}\n" for y in (0, 1, 3)))
         newdata = tmp_path / "new.csv"
         for text, want in (("period,y1\nf1,2\nf2,4\n", [["f1", "50.00%"], ["f2", "73.11%"]]),
                            ("period,y1\n", [["(none)", "-"]])):
             newdata.write_text(text, encoding="utf-8")
-            assert main(["predict", "--history", str(history), "--newdata", str(newdata),
-                         "--out", str(tmp_path / "pred"), "--pretty"]) == 0
+            assert run_cli(["predict", "--history", history, "--newdata", newdata,
+                            "--out", tmp_path / "pred", "--pretty"]) == 0
             title, header, *rows = capsys.readouterr().out.splitlines()
             assert title == "Predicted means"
             assert header.split() == ["period", "mu"]
@@ -453,40 +397,30 @@ class TestOutputKeys:
     @pytest.mark.parametrize("histograms", [False, True])
     def test_calibrate(self, tame_csv, tmp_path, histograms):
         out = tmp_path / "out"
-        args = ["calibrate", "--input", str(tame_csv), "--period", "T1", "--n-sim", "1000",
-                "--k-reps", "2", "--threads", "1", "--out", str(out)]
-        assert main(args + ["--emit-histograms"] * histograms) == 0
+        args = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", 1000,
+                "--k-reps", 2, "--threads", 1, "--out", out]
+        assert run_cli(args + ["--emit-histograms"] * histograms) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == self.CALIBRATE_KEYS
         hists = {"hist_1.csv", "hist_2.csv", "hist_3.csv"} if histograms else set()
         assert {p.name for p in out.iterdir()} == {"calibration.csv", "manifest.json"} | hists
 
     @pytest.mark.parametrize("external", [False, True])
-    def test_compare(self, tame_csv, tmp_path, external):
-        assert run_calibrate(tame_csv, tmp_path / "calib") == 0
-        args = ["compare", "--input", str(tame_csv), "--period", "T1",
-                "--calibration", str(tmp_path / "calib" / "calibration.csv"),
-                "--out", str(tmp_path / "cmp")]
-        if external:
-            path = tmp_path / "ext.csv"
-            path.write_text("grade_order,method_name,pd\n1,q,0.004\n2,q,0.009\n3,q,0.08\n",
-                            encoding="utf-8")
-            args += ["--external", str(path)]
-        assert main(args) == 0
+    def test_compare(self, tame_csv, tame_calibration, external_csv, tmp_path, external):
+        args = ["compare", "--input", tame_csv, "--period", "T1",
+                "--calibration", tame_calibration, "--out", tmp_path / "cmp"]
+        assert run_cli(args + ["--external", external_csv] * external) == 0
         manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
         assert set(manifest) == self.COMPARE_KEYS
         assert manifest["pt_enforce_monotone"] is True
-        assert manifest["methods"] == "simulated,pluto_tasche" + ",q" * external
+        assert manifest["methods"] == "simulated,pluto_tasche" + ",qmm" * external
 
-    def test_predict(self, tmp_path):
-        history = tmp_path / "history.csv"
-        history.write_text("period,mu,y1,y2\na,0.2,0,1\nb,0.3,1,0\nc,0.4,2,2\nd,0.1,0,0\n",
-                           encoding="utf-8")
-        newdata = tmp_path / "new.csv"
-        newdata.write_text("period,y1,y2\nf,0.5,0.5\n", encoding="utf-8")
+    def test_predict(self, csv_file, tmp_path):
+        history = csv_file("period,mu,y1,y2\na,0.2,0,1\nb,0.3,1,0\nc,0.4,2,2\nd,0.1,0,0\n",
+                           "history.csv")
+        newdata = csv_file("period,y1,y2\nf,0.5,0.5\n", "new.csv")
         out = tmp_path / "pred"
-        assert main(["predict", "--history", str(history), "--newdata", str(newdata),
-                     "--out", str(out)]) == 0
+        assert run_cli(["predict", "--history", history, "--newdata", newdata, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == ENVELOPE_KEYS | input_keys("history", "newdata") | {
             "n_observations", "n_regressors", "n_predictions", "link"}
@@ -509,66 +443,65 @@ def test_numeric_errors_share_one_base_and_keep_their_own(cls, base):
     *(pytest.param(option, None, "{path}", id=option)
       for option in ("--input", "--calibration", "--external", "--history", "--newdata")),
     pytest.param("--input", "", "{path}: missing header", id="--input-empty"),
-    pytest.param("--input", TAME_CSV.splitlines()[0] + "\n", "{path}: no cohort rows found",
+    pytest.param("--input", COHORT_HEADER, "{path}: no cohort rows found",
                  id="--input-header-only"),
     pytest.param("--external", "grade_order,method_name,pd\n",
                  "{path}: no external method rows found", id="--external-header-only"),
     pytest.param("--history", "period,mu,y1\n", "{path}: history has no data rows",
                  id="--history-header-only"),
 ])
-def test_missing_input_exits_2(tame_csv, tmp_path, capsys, option, text, message):
+def test_missing_input_exits_2(tame_csv, tame_calibration, history_csv, newdata_csv, tmp_path,
+                               capsys, option, text, message):
     """An input file that is missing, empty or without data rows."""
     missing = tmp_path / "nope.csv"
     if text is not None:
         missing.write_text(text, encoding="utf-8")
-    assert run_calibrate(tame_csv, tmp_path / "calib") == 0
-    calibration = tmp_path / "calib" / "calibration.csv"
-    history = tmp_path / "history.csv"
-    history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\n", encoding="utf-8")
-    compare = ["compare", "--input", tame_csv, "--period", "T1", "--calibration", calibration]
+    compare = ["compare", "--input", tame_csv, "--period", "T1", "--calibration", tame_calibration]
     argv = {
         "--input": ["calibrate", "--input", missing, "--period", "T1"],
         "--calibration": compare[:-1] + [missing],
         "--external": compare + ["--external", missing],
-        "--history": ["predict", "--history", missing, "--newdata", history],
-        "--newdata": ["predict", "--history", history, "--newdata", missing],
+        "--history": ["predict", "--history", missing, "--newdata", newdata_csv],
+        "--newdata": ["predict", "--history", history_csv, "--newdata", missing],
     }[option]
-    assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 2
+    assert run_cli([*argv, "--out", tmp_path / "out"]) == 2
     assert message.format(path=missing) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def run_with_bad_input(tame_csv, tmp_path, kind, row):
-    """Exit code of the command reading ``row`` as the data row on line 3 of
-    its ``kind`` input (cohort, external, history, newdata or calibration)."""
-    bad = tmp_path / f"{kind}.csv"
-    if kind == "cohort":
-        bad.write_text(f"{TAME_CSV.splitlines()[0]}\nT1,1,A,800,8\n{row}\n", encoding="utf-8")
-        return run_calibrate(bad, tmp_path / "out")
-    if kind in ("history", "newdata"):
-        history = tmp_path / "history.csv"
-        history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
-        newdata = tmp_path / "new.csv"
-        newdata.write_text("period,y1\nf,0.5\n", encoding="utf-8")
-        header = "period,mu,y1" if kind == "history" else "period,y1"
-        first = "a,0.2,0" if kind == "history" else "f,0.5"
-        bad.write_text(f"{header}\n{first}\n{row}\n", encoding="utf-8")
-        paths = {"history": history, "newdata": newdata, kind: bad}
-        return main(["predict", "--history", str(paths["history"]),
-                     "--newdata", str(paths["newdata"]), "--out", str(tmp_path / "out")])
-    assert run_calibrate(tame_csv, tmp_path / "calib") == 0
-    calibration = tmp_path / "calib" / "calibration.csv"
-    args = ["compare", "--input", str(tame_csv), "--period", "T1", "--out", str(tmp_path / "out")]
-    if kind == "external":
-        bad.write_text(f"grade_order,method_name,pd\n1,q,0.004\n{row}\n", encoding="utf-8")
-        return main(args + ["--calibration", str(calibration), "--external", str(bad)])
-    lines = calibration.read_text(encoding="utf-8").splitlines()
-    # line 3 is grade A's row; its mean is the eighth cell
-    cells = lines[2].split(",")
-    cells[7] = row
-    lines[2] = ",".join(cells)
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return main(args + ["--calibration", str(bad)])
+@pytest.fixture
+def run_with_bad_input(tame_csv, tame_calibration, external_csv, history_csv, newdata_csv,
+                       tmp_path):
+    """Exit code of the command reading ``row`` as the data row on line 3 of its ``kind``
+    input (cohort, external, history, newdata or calibration), written to
+    ``bad/<kind>.csv``; its other inputs are the shared ones."""
+    good = {"cohort": tame_csv, "external": external_csv, "history": history_csv,
+            "newdata": newdata_csv, "calibration": tame_calibration}
+
+    def run(kind, row):
+        lines = good[kind].read_text(encoding="utf-8").splitlines()
+        if kind == "calibration":
+            # line 3 is grade A's row; its mean is the eighth cell
+            cells = lines[2].split(",")
+            cells[7] = row
+            lines[2] = ",".join(cells)
+        else:
+            lines[2:] = [row]
+        bad = tmp_path / "bad" / f"{kind}.csv"
+        bad.parent.mkdir()
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if kind == "cohort":
+            return run_calibrate(bad, out)
+        if kind in ("history", "newdata"):
+            paths = {**good, kind: bad}
+            return run_cli(["predict", "--history", paths["history"],
+                            "--newdata", paths["newdata"], "--out", out])
+        compare = ["compare", "--input", tame_csv, "--period", "T1", "--out", out]
+        if kind == "external":
+            return run_cli(compare + ["--calibration", tame_calibration, "--external", bad])
+        return run_cli(compare + ["--calibration", bad])
+    return run
 
 
 class TestBadInputCells:
@@ -577,8 +510,9 @@ class TestBadInputCells:
         ("external", '2,"m,x",0.01', "invalid method name 'm,x'"),
         ("newdata", '"x,y",0.3', "invalid period 'x,y'"),
     ], ids=["cohort-label", "external-method", "newdata-period"])
-    def test_name_needing_csv_quotes_exits_2(self, tame_csv, tmp_path, capsys, kind, row, message):
-        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+    def test_name_needing_csv_quotes_exits_2(self, run_with_bad_input, tmp_path, capsys, kind, row,
+                                             message):
+        assert run_with_bad_input(kind, row) == 2
         err = capsys.readouterr().err
         assert f"{kind}.csv: line 3: {message}" in err
         assert not (tmp_path / "out").exists()
@@ -588,29 +522,31 @@ class TestBadInputCells:
         ("external", "2,m\x1fx,0.01", "method name 'm\\x1fx'"),
         ("newdata", "x\x7fy,0.3", "period 'x\\x7fy'"),
     ], ids=["cohort-label-nul", "external-method-unit-separator", "newdata-period-del"])
-    def test_name_with_a_control_character_exits_2(self, tame_csv, tmp_path, capsys, kind, row,
-                                                    name):
+    def test_name_with_a_control_character_exits_2(self, run_with_bad_input, tmp_path, capsys,
+                                                    kind, row, name):
         # Python 3.10's csv module refuses a NUL before the reader's converter sees it
         message = ("line contains NUL" if "\0" in row and sys.version_info < (3, 11)
                    else f"invalid {name}")
-        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+        assert run_with_bad_input(kind, row) == 2
         err = capsys.readouterr().err
         assert f"{kind}.csv: line 3: {message}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["cohort", "external", "history", "calibration"])
-    def test_cell_over_the_csv_field_limit_exits_2(self, tame_csv, tmp_path, capsys, kind):
+    def test_cell_over_the_csv_field_limit_exits_2(self, run_with_bad_input, tmp_path, capsys,
+                                                    kind):
         # the csv module refuses a cell of more than 131,072 characters
         row = {"cohort": "T1,2,B,900,{}", "external": "2,q,{}", "history": "b,0.3,{}",
                "calibration": "{}"}[kind].format("1" * 200_000)
-        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
+        assert run_with_bad_input(kind, row) == 2
         err = capsys.readouterr().err
         assert f"{kind}.csv: line 3: field larger than field limit" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["grade_order", "label", "simulated", "pluto_tasche"])
-    def test_method_named_like_a_comparison_column_exits_2(self, tame_csv, tmp_path, capsys, name):
-        assert run_with_bad_input(tame_csv, tmp_path, "external", f"2,{name},0.01") == 2
+    def test_method_named_like_a_comparison_column_exits_2(self, run_with_bad_input, tmp_path,
+                                                            capsys, name):
+        assert run_with_bad_input("external", f"2,{name},0.01") == 2
         err = capsys.readouterr().err
         assert f"external.csv: line 3: method name {name!r} is reserved" in err
         assert not (tmp_path / "out").exists()
@@ -630,11 +566,11 @@ class TestBadInputCells:
         ("calibration", "-0.01", "mean must lie in [0, 1], got -0.01"),
         ("calibration", "1.5", "mean must lie in [0, 1], got 1.5"),
     ])
-    def test_bad_number_exits_2(self, tame_csv, tmp_path, capfd, kind, row, message):
-        assert run_with_bad_input(tame_csv, tmp_path, kind, row) == 2
-        err = capfd.readouterr().err  # LAPACK writes to the process stderr
+    def test_bad_number_exits_2(self, run_with_bad_input, tmp_path, capfd, kind, row, message):
+        assert run_with_bad_input(kind, row) == 2
+        err = capfd.readouterr().err
         assert f"{kind}.csv: line 3: {message}" in err
-        assert "DLASCL" not in err and "converge" not in err
+        assert err == f"error: {tmp_path / 'bad' / f'{kind}.csv'}: line 3: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -653,8 +589,7 @@ class TestImportFootprint:
     @staticmethod
     def loaded_after(code: str) -> set[str]:
         """Every module in ``sys.modules`` after ``code`` runs in a fresh process."""
-        src = str(Path(pdcalib.__file__).resolve().parents[1])
-        probe = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint(sorted(sys.modules))"
+        probe = f"import sys; sys.path.insert(0, {SRC!r})\n{code}\nprint(sorted(sys.modules))"
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         return set(ast.literal_eval(done.stdout.splitlines()[-1]))
@@ -682,8 +617,7 @@ class TestImportFootprint:
         assert self.modules_loaded("import pdcalib, pdcalib.cli") == []
 
     def test_importing_the_package_loads_none_of_its_modules(self):
-        src = str(Path(pdcalib.__file__).resolve().parents[1])
-        probe = (f"import sys; sys.path.insert(0, {src!r})\nimport pdcalib\n"
+        probe = (f"import sys; sys.path.insert(0, {SRC!r})\nimport pdcalib\n"
                  "print(sorted(m for m in sys.modules if m.startswith('pdcalib')))")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
@@ -698,10 +632,9 @@ class TestImportFootprint:
 
     def test_version_as_a_module_loads_none(self):
         # `python -m pdcalib` runs `__main__`, which the in-process calls above skip
-        src = str(Path(pdcalib.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-X", "importtime", "-m", "pdcalib", "--version"],
                               capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": SRC})
         assert done.stdout == f"pdcalib {pdcalib.__version__}\n"
         # each importtime line ends in "| <indent><module name>"
         loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
@@ -727,27 +660,24 @@ class TestImportFootprint:
         argv = ["calibrate", *(x for pair in args.items() for x in pair)]
         assert self.modules_loaded(self.main_code(argv, status=2)) == []
 
-    def test_compare_loads_no_numpy(self, tame_csv, tmp_path):
-        assert run_calibrate(tame_csv, tmp_path / "calib") == 0
+    def test_compare_loads_no_numpy(self, tame_csv, tame_calibration, tmp_path):
         argv = ["compare", "--input", tame_csv, "--period", "T1",
-                "--calibration", tmp_path / "calib" / "calibration.csv", "--out", tmp_path / "cmp"]
+                "--calibration", tame_calibration, "--out", tmp_path / "cmp"]
         loaded = self.loaded_after(self.main_code(argv))
         assert self.of_interest(loaded) == self.WRITER
         assert self.package_modules(loaded) == {"cli", "cohorts", "csvio", "statdist",
                                                 "benchmarks"}
 
-    def test_predict_loads_no_numpy(self, tmp_path):
-        history = tmp_path / "history.csv"
-        history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
-        newdata = tmp_path / "newdata.csv"
-        newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
-        argv = ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]
+    def test_predict_loads_no_numpy(self, history_csv, newdata_csv, tmp_path):
+        argv = ["predict", "--history", history_csv, "--newdata", newdata_csv,
+                "--out", tmp_path / "p"]
         loaded = self.loaded_after(self.main_code(argv))
         assert self.of_interest(loaded) == self.WRITER
         assert self.package_modules(loaded) == {"cli", "csvio", "betareg"}
 
 
-def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
+def test_traced_benchmark_hooks(fixture_csv, history_csv, newdata_csv, csv_file, tmp_path,
+                                monkeypatch):
     # `perfbench/run.py --trace 1` wraps pdcalib functions by the names it
     # looks up; a rename or deletion that breaks those hooks fails here too
     pytest.importorskip("scipy")
@@ -758,21 +688,16 @@ def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
     run.install(tracer, run.Plan(ops=[]))
     try:
         # one thread: the tracer keeps one stack of open spans
-        cal = ["calibrate", "--input", str(fixture_csv), "--period", "2017", "--n-sim", "2000",
-               "--k-reps", "2", "--threads", "1", "--emit-histograms", "--out", str(tmp_path / "c")]
-        assert main(cal) == 0
-        external = tmp_path / "external.csv"
-        external.write_text("grade_order,method_name,pd\n"
-                            + "".join(f"{i},ext,0.0{i}\n" for i in range(1, 9)), encoding="utf-8")
-        assert main(["compare", "--input", str(fixture_csv), "--period", "2017",
-                     "--calibration", str(tmp_path / "c" / "calibration.csv"),
-                     "--external", str(external), "--out", str(tmp_path / "m")]) == 0
-        history = tmp_path / "history.csv"
-        history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
-        newdata = tmp_path / "newdata.csv"
-        newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
-        assert main(["predict", "--history", str(history), "--newdata", str(newdata),
-                     "--out", str(tmp_path / "p")]) == 0
+        cal = ["calibrate", "--input", fixture_csv, "--period", "2017", "--n-sim", 2000,
+               "--k-reps", 2, "--threads", 1, "--emit-histograms", "--out", tmp_path / "c"]
+        assert run_cli(cal) == 0
+        external = csv_file("grade_order,method_name,pd\n"
+                            + "".join(f"{i},ext,0.0{i}\n" for i in range(1, 9)))
+        assert run_cli(["compare", "--input", fixture_csv, "--period", "2017",
+                        "--calibration", tmp_path / "c" / "calibration.csv",
+                        "--external", external, "--out", tmp_path / "m"]) == 0
+        assert run_cli(["predict", "--history", history_csv, "--newdata", newdata_csv,
+                        "--out", tmp_path / "p"]) == 0
     finally:
         tracer.uninstall()
         # uninstall sets the originals on cli, where they would shadow their defining modules
@@ -784,7 +709,8 @@ def test_traced_benchmark_hooks(fixture_csv, tmp_path, monkeypatch):
     assert metrics["statdist.draws"] > 0 and metrics["betareg.fit_s"] > 0.0
 
 
-def test_trace_hooks_resolve_before_any_command(tame_csv, tmp_path):
+def test_trace_hooks_resolve_before_any_command(tame_csv, external_csv, history_csv, newdata_csv,
+                                                tmp_path):
     # test_traced_benchmark_hooks runs after other tests have run commands; here a fresh
     # process wraps every name `perfbench/run.py --trace 1` wraps on `cli` before any has run
     traced = {"parse_cohort_csv": "cohorts", "compute_posterior": "cohorts",
@@ -794,20 +720,14 @@ def test_trace_hooks_resolve_before_any_command(tame_csv, tmp_path):
               "parse_history_csv": "betareg", "fit_regression": "betareg.fit",
               "predict_mean": "betareg"}
     assert set(cli._DEFINED_IN) == set(traced)  # the table holds these hooks and nothing else
-    external = tmp_path / "external.csv"
-    external.write_text("grade_order,method_name,pd\n1,ext,0.01\n2,ext,0.02\n3,ext,0.03\n",
-                        encoding="utf-8")
-    history = tmp_path / "history.csv"
-    history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
-    newdata = tmp_path / "newdata.csv"
-    newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
     calls = [["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
               "--k-reps", "1", "--threads", "1", "--emit-histograms", "--out", tmp_path / "c"],
              ["compare", "--input", tame_csv, "--period", "T1", "--calibration",
-              tmp_path / "c" / "calibration.csv", "--external", external, "--out", tmp_path / "m"],
-             ["predict", "--history", history, "--newdata", newdata, "--out", tmp_path / "p"]]
-    src = str(Path(pdcalib.__file__).resolve().parents[1])
-    probe = f"""import sys; sys.path.insert(0, {src!r})
+              tmp_path / "c" / "calibration.csv", "--external", external_csv,
+              "--out", tmp_path / "m"],
+             ["predict", "--history", history_csv, "--newdata", newdata_csv,
+              "--out", tmp_path / "p"]]
+    probe = f"""import sys; sys.path.insert(0, {SRC!r})
 from importlib import import_module
 from pdcalib import cli
 called = []
@@ -827,32 +747,41 @@ print(sorted(set(called)))"""
     assert ast.literal_eval(done.stdout.splitlines()[-1]) == sorted(traced)
 
 
-def predict_argv(tmp_path: Path) -> list[str]:
-    """``predict`` of d at y1 = 3 from a three-period history, up to its ``--out``."""
-    history = tmp_path / "history.csv"
-    history.write_text("period,mu,y1\na,0.2,0\nb,0.3,1\nc,0.4,2\n", encoding="utf-8")
-    newdata = tmp_path / "newdata.csv"
-    newdata.write_text("period,y1\nd,3\n", encoding="utf-8")
-    return ["predict", "--history", str(history), "--newdata", str(newdata), "--out"]
-
-
-def test_names_other_than_hooks_resolve_on_their_module_at_call_time(tmp_path, monkeypatch):
+def test_names_other_than_hooks_resolve_on_their_module_at_call_time(history_csv, newdata_csv,
+                                                                    tmp_path, monkeypatch):
     # a command takes csv_text from csvio on each call, not from a copy cached by an earlier one
-    argv = predict_argv(tmp_path)
-    assert main([*argv, str(tmp_path / "first")]) == 0
+    argv = ["predict", "--history", history_csv, "--newdata", newdata_csv, "--out"]
+    assert run_cli([*argv, tmp_path / "first"]) == 0
     assert (tmp_path / "first" / "predictions.csv").read_text(encoding="utf-8").startswith("# ")
     monkeypatch.setattr(csvio, "csv_text", lambda header, rows: "stub\n")
-    assert main([*argv, str(tmp_path / "second")]) == 0
+    assert run_cli([*argv, tmp_path / "second"]) == 0
     assert (tmp_path / "second" / "predictions.csv").read_text(encoding="utf-8") == "stub\n"
 
 
-def test_hooks_resolve_on_their_module_at_call_time(tmp_path, monkeypatch):
+def test_hooks_resolve_on_their_module_at_call_time(history_csv, newdata_csv, tmp_path,
+                                                    monkeypatch):
     # cli keeps no copy of a hook, and no earlier test (the traced one included) left one there
     assert not vars(cli).keys() & cli._DEFINED_IN.keys()
-    argv = predict_argv(tmp_path)
-    assert main([*argv, str(tmp_path / "first")]) == 0
+    argv = ["predict", "--history", history_csv, "--newdata", newdata_csv, "--out"]
+    assert run_cli([*argv, tmp_path / "first"]) == 0
     assert not vars(cli).keys() & cli._DEFINED_IN.keys()
     assert read_csv_rows(tmp_path / "first" / "predictions.csv")[1] == [["d", "0.5252643349381377"]]
     monkeypatch.setattr(betareg, "predict_mean", lambda model, y: [0.5 for _ in y])
-    assert main([*argv, str(tmp_path / "second")]) == 0
+    assert run_cli([*argv, tmp_path / "second"]) == 0
     assert read_csv_rows(tmp_path / "second" / "predictions.csv")[1] == [["d", "0.5"]]
+
+
+def test_other_errors_are_raised_not_mapped_to_an_exit_code(history_csv, newdata_csv, tmp_path,
+                                                            monkeypatch, capsys):
+    # only NumericError, OSError and ValueError are the user's to fix; any other exception is
+    # a fault of the program and keeps its traceback (ConvergenceError, also a RuntimeError,
+    # exits 3 through its NumericError base)
+    def fail(model, y):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(betareg, "predict_mean", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli(["predict", "--history", history_csv, "--newdata", newdata_csv,
+                 "--out", tmp_path / "out"])
+    assert not (tmp_path / "out").exists()
+    assert "error:" not in capsys.readouterr().err

@@ -21,6 +21,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import pdcalib
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,14 @@ def test_the_package_imports_each_name_from_the_module_that_defines_it():
             wrong += [f"{path.name}:{node.lineno}: from .{node.module or ''} import {a.name}"
                       for a in node.names if a.name not in allowed]
     assert not wrong, "\n".join(wrong)
+
+
+def test_the_installed_metadata_reads_the_package_version():
+    # pyproject.toml takes its version from pdcalib.__version__, which --version and every
+    # manifest's tool_version print; a bare source checkout on PYTHONPATH has no metadata
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        installed = version("pdcalib")
+    except PackageNotFoundError:
+        pytest.skip("pdcalib is not installed, so there is no package metadata")
+    assert installed == pdcalib.__version__

@@ -14,11 +14,12 @@ stats = pytest.importorskip("scipy.stats")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from scipy import integrate  # noqa: E402
 
+from conftest import snap  # noqa: E402
 from pdcalib.benchmarks import (central_tendency, parse_external_csv,  # noqa: E402
                                 pluto_tasche, scale_to_ct)
 from pdcalib.betareg import parse_history_csv  # noqa: E402
 from pdcalib.calibrator import oracle_conditional_means_2grade  # noqa: E402
-from pdcalib.cohorts import CohortSnapshot, GradeCount, parse_cohort_csv  # noqa: E402
+from pdcalib.cohorts import CohortSnapshot, parse_cohort_csv  # noqa: E402
 from pdcalib.csvio import CohortError  # noqa: E402
 from pdcalib.statdist import BetaParams  # noqa: E402
 
@@ -30,8 +31,8 @@ def portfolios(draw):
     for order in range(1, draw(st.integers(2, 20)) + 1):
         n = draw(st.integers(0, 1_000_000))
         d = draw(st.integers(0, n))
-        rows.append(GradeCount(order, f"g{order}", n, d))
-    return CohortSnapshot("t", tuple(rows))
+        rows.append((order, f"g{order}", n, d))
+    return snap(rows)
 
 
 @settings(max_examples=60, deadline=None)
