@@ -22,13 +22,13 @@ distribution per grade from which the point estimate, median, confidence
 bounds and Monte-Carlo standard error are reported.  The bounds are the
 spread of the repetition means: Monte-Carlo noise that shrinks roughly like
 1/sqrt(n_sim), not the uncertainty of a grade's default rate.  The
-repetitions run on threads of this one process (the beta sampler and
-numpy's array loops release the interpreter lock); results are
-bit-reproducible for a fixed (seed, config, data, numpy version)
-regardless of the thread count.
-``calibrate`` is the only caller of ``rng_stream`` and the only user of a
-thread pool.  numpy, its sampler and ``concurrent.futures`` are imported
-when a function that uses them runs, not with the module.
+repetitions run on the calling thread and helper threads of this one
+process (the beta sampler and numpy's array loops release the interpreter
+lock); results are bit-reproducible for a fixed (seed, config, data, numpy
+version) regardless of the thread count.
+``calibrate`` is the only caller of ``rng_stream`` and the only code that
+starts a thread.  numpy and its sampler are imported when a function that
+uses them runs, not with the module.
 ``oracle_conditional_means_2grade`` gives one pair step's means as n_sim grows
 without bound, by 1-D Gauss-Legendre quadrature: the filter's test reference.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .statdist import BetaParams, NumericError, _check_u64, log_beta, rng_stream, sample_beta
 
@@ -262,22 +262,70 @@ def run_sweep(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
     )
 
 
+def _run_in_order(task: Callable[[int], SweepResult], count: int,
+                  workers: int) -> list[SweepResult]:
+    """``[task(0), ..., task(count - 1)]``, run on the calling thread and
+    ``min(workers, count) - 1`` helper threads.
+
+    Each thread takes the next index in order until none is left.  Once a
+    task has raised, on any thread, or the calling thread is interrupted,
+    no further task starts; the helpers are joined and the exception of the
+    lowest-numbered failed task is raised.  So the result and the error are
+    those of running the tasks one after another, and one worker starts no
+    thread.  A helper stores what it raises, so ``threading.excepthook``
+    never sees it.
+    """
+    import threading
+
+    results: list[SweepResult] = [None] * count
+    failed: dict[int, BaseException] = {}
+    indices = iter(range(count))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = None if failed else next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = task(index)
+            except BaseException as exc:  # raised again by the calling thread
+                with lock:
+                    failed[index] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, count) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    except BaseException as exc:  # an interrupt between tasks: later than any started
+        with lock:
+            failed[count] = exc
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
               workers: int = 1) -> CalibrationResult:
     """Sampling distribution of the calibrated means over ``k_reps`` sweeps.
 
     Repetition ``k`` restarts from the raw posteriors on stream
     ``(cfg.seed, k)``.  Repetitions share nothing mutable, so they run on
-    ``workers`` threads with the same result for any count.  The first
-    failing repetition in order is raised, and those not started are cancelled.
+    ``workers`` threads, the calling one included, with the same result for
+    any count (``_run_in_order``).  Once one fails no other starts, and the
+    failure of the lowest-numbered repetition is raised.
     The median and confidence bounds are read off each grade's sorted
     repetition means by the rules of ``np.median`` and ``np.quantile``'s
     default ``linear`` method, bit for bit, without the ``numpy.ma`` import
     those functions cost.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np  # here, on the calling thread, before the pool starts
+    import numpy as np  # here, on the calling thread, before any helper starts
+    import numpy.random  # noqa: F401  (rng_stream's import, made here as well)
 
     def sweep(rep: int) -> SweepResult:
         try:
@@ -285,8 +333,7 @@ def calibrate(post: Mapping[str, BetaParams], cfg: CalibrationConfig,
         except NumericError as exc:
             raise type(exc)(f"repetition {rep}: {exc}") from None
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sweeps = list(pool.map(sweep, range(cfg.k_reps)))
+    sweeps = _run_in_order(sweep, cfg.k_reps, workers)
 
     mean_matrix = np.array([s.means for s in sweeps])
     alpha_hat, beta_hat = np.array([s.params for s in sweeps]).mean(axis=0).T

@@ -101,6 +101,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     snapshot = _select_snapshot(parse_cohort_csv(args.input), args.period)
     cfg = CalibrationConfig(**{key: value for key, value in vars(args).items()
                                if key in CalibrationConfig._fields})
+    # numpy's OpenBLAS starts cpu_count - 1 idle threads when numpy loads; no command calls BLAS
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     result = calibrate(compute_posterior(snapshot), cfg, workers=args.threads)
     warnings = [f"grade {g.label}: empty cohort, posterior equals the prior"
                 for g in snapshot.grades if g.performing_start == 0]
@@ -245,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "Monte-Carlo noise shrinking like 1/sqrt(n_sim), not a default "
                           "rate's uncertainty")
     cal.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="threads running the repetitions (affects speed only)")
+                     help="threads running the repetitions, the calling one included "
+                          "(affects speed only)")
     cal.add_argument("--out", required=True, help="output directory")
     cal.add_argument("--emit-histograms", action="store_true")
     cal.add_argument("--pretty", action="store_true")

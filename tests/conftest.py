@@ -8,8 +8,12 @@ from one ``run_calibrate`` on the fixture's own copy of ``TAME_CSV``, computed o
 module and only read; ``history_csv`` (three periods on one regressor), ``newdata_csv``
 (period d at y1 = 3) and ``external_csv`` (method qmm on the three tame grades).
 Helpers the test modules import: ``run_cli``, ``run_calibrate`` and ``snap``.
+After every test ``restore_process_state`` undoes what a command or the benchmark's
+trace leaves in the process; a fixture that runs a command keeps the environment itself.
 """
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,30 @@ def snap(rows):
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@contextmanager
+def environ_kept():
+    """Puts back ``os.environ`` as it was, to which an in-process ``calibrate`` adds
+    ``OPENBLAS_NUM_THREADS``."""
+    environ = os.environ.copy()
+    try:
+        yield
+    finally:
+        for key in os.environ.keys() - environ.keys():
+            del os.environ[key]
+        os.environ.update(environ)
+
+
+@pytest.fixture(autouse=True)
+def restore_process_state():
+    """Puts back ``os.environ`` and removes from ``pdcalib.cli`` the hooks that the trace's
+    ``uninstall`` sets there, where they would shadow their defining modules."""
+    with environ_kept():
+        yield
+    from pdcalib import cli
+    for name in cli._DEFINED_IN:
+        vars(cli).pop(name, None)
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +110,8 @@ def tame_csv(tmp_path) -> Path:
 @pytest.fixture(scope="module")
 def tame_calibration(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("tame")
-    assert run_calibrate(write(root / "cohorts.csv", TAME_CSV), root / "calib") == 0
+    with environ_kept():
+        assert run_calibrate(write(root / "cohorts.csv", TAME_CSV), root / "calib") == 0
     return root / "calib" / "calibration.csv"
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -311,6 +312,69 @@ class TestCalibrate:
         cfg = CalibrationConfig(n_sim=1000, k_reps=2, seed=1)
         with pytest.raises(InsufficientAcceptanceError, match="repetition 0"):
             calibrate(post, cfg)
+
+    @pytest.fixture
+    def stub_sweep(self, monkeypatch):
+        """Makes ``run_sweep`` the given stub, called with the repetition's number as its
+        stream."""
+        monkeypatch.setattr(calibrator, "rng_stream", lambda seed, rep: rep)
+        return lambda stub: monkeypatch.setattr(calibrator, "run_sweep", stub)
+
+    def test_lowest_failed_repetition_is_raised_and_no_later_one_starts(self, stub_sweep):
+        # repetition 1 fails only after 3 has, and the other thread ran 0, 2 and 3 meanwhile
+        started, three_failed = [], threading.Event()
+
+        def stub(post, cfg, rep):
+            started.append(rep)
+            if rep == 1:
+                assert three_failed.wait(5)
+                time.sleep(0.05)  # so that 3's failure is recorded first
+                raise SweepNotConvergedError("one")
+            if rep == 3:
+                three_failed.set()
+                raise SweepNotConvergedError("three")
+
+        stub_sweep(stub)
+        with pytest.raises(SweepNotConvergedError, match="^repetition 1: one$"):
+            calibrate(self.make_post(), CalibrationConfig(n_sim=1000, k_reps=8), workers=2)
+        assert sorted(started) == [0, 1, 2, 3]
+
+    def test_a_helpers_error_reaches_the_caller_as_itself(self, stub_sweep, monkeypatch):
+        boom, raised, hooked = RuntimeError("boom"), threading.Event(), []
+
+        def stub(post, cfg, rep):
+            if threading.current_thread() is threading.main_thread():
+                assert raised.wait(5)  # so that the helper takes a repetition
+                return
+            raised.set()
+            raise boom
+
+        stub_sweep(stub)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        with pytest.raises(RuntimeError) as info:
+            calibrate(self.make_post(), CalibrationConfig(n_sim=1000, k_reps=2), workers=2)
+        assert info.value is boom
+        assert hooked == []
+
+    def test_an_interrupt_propagates_after_the_helpers_are_joined(self, stub_sweep):
+        helper_started, interrupted, finished = threading.Event(), threading.Event(), []
+
+        def stub(post, cfg, rep):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(5)
+                interrupted.set()
+                raise KeyboardInterrupt
+            helper_started.set()
+            assert interrupted.wait(5)
+            time.sleep(0.05)  # still running when the interrupt is recorded
+            finished.append(rep)
+
+        stub_sweep(stub)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            calibrate(self.make_post(), CalibrationConfig(n_sim=1000, k_reps=8), workers=2)
+        assert threading.active_count() == threads
+        assert len(finished) == 1  # the helper's repetition ran to its end, and no other started
 
     def test_ci_width_shrinks_with_more_reps(self):
         # standard error of the mean-of-means should halve from 300 to 1200 reps

@@ -138,10 +138,40 @@ class TestCalibrateCommand:
         assert run_cli(args + ["--n-sim", needed]) == 0
 
     def test_thread_count_does_not_change_bytes(self, tame_csv, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert run_calibrate(tame_csv, out1, threads=1) == 0
-        assert run_calibrate(tame_csv, out2, threads=2) == 0
-        assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
+        # 3 threads share 5 repetitions unevenly; 8 are more threads than repetitions
+        for threads in (1, 2, 3, 8):
+            assert run_calibrate(tame_csv, tmp_path / f"t{threads}", k_reps=5,
+                                 threads=threads) == 0
+        written = {(tmp_path / f"t{threads}" / "calibration.csv").read_bytes()
+                   for threads in (1, 2, 3, 8)}
+        assert len(written) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_threads_alive_during_a_sweep(self, tame_csv, tmp_path, threads):
+        # the calling thread runs repetitions itself, and numpy's OpenBLAS starts no idle worker
+        argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
+                "--k-reps", "3", "--threads", threads, "--out", tmp_path / "out"]
+        probe = f"""import os, sys; sys.path.insert(0, {SRC!r})
+from pdcalib import calibrator
+from pdcalib.cli import main
+seen, run_sweep = [], calibrator.run_sweep
+def counting(*args):
+    seen.append(len(os.listdir("/proc/self/task")))
+    return run_sweep(*args)
+calibrator.run_sweep = counting
+assert main({list(map(str, argv))!r}) == 0
+print(max(seen))"""
+        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {key: value for key, value in os.environ.items() if key not in blas}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env=env)
+        assert done.stdout == f"{threads}\n"
+
+    def test_blas_threads_the_user_set_are_kept(self, tame_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert run_calibrate(tame_csv, tmp_path / "out") == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_no_threads_exits_2(self, tame_csv, tmp_path, capsys):
         assert run_calibrate(tame_csv, tmp_path / "out", threads=0) == 2
@@ -575,15 +605,17 @@ class TestBadInputCells:
 
 
 class TestImportFootprint:
-    """Only `calibrate` draws random numbers, so only it loads the sampler and the pool;
-    only the test oracle's quadrature loads `numpy.polynomial`, and no command loads
-    `numpy.ma`, which `np.median` and `np.quantile` import.  `compare` and `predict` work
-    on scalars, so they load neither numpy nor `statistics`; only `calibrate` loads numpy,
-    and only once its input is valid.  The records are named tuples, so nothing loads
-    `dataclasses`, and only a command that writes loads `hashlib` and `json`."""
+    """Only `calibrate` draws random numbers, so only it loads the sampler; it runs its
+    repetitions on threads it starts itself, so no command loads `concurrent.futures` or the
+    `logging` that an executor imports.  Only the test oracle's quadrature loads
+    `numpy.polynomial`, and no command loads `numpy.ma`, which `np.median` and
+    `np.quantile` import.  `compare` and `predict` work on scalars, so they load neither
+    numpy nor `statistics`; only `calibrate` loads numpy, and only once its input is valid.
+    The records are named tuples, so nothing loads `dataclasses`, and only a command that
+    writes loads `hashlib` and `json`."""
 
-    MODULES = ("numpy.random", "concurrent.futures", "numpy.polynomial", "numpy.ma", "numpy",
-               "statistics", "dataclasses", "hashlib", "json")
+    MODULES = ("numpy.random", "concurrent.futures", "logging", "numpy.polynomial", "numpy.ma",
+               "numpy", "statistics", "dataclasses", "hashlib", "json")
     WRITER = ["hashlib", "json"]
 
     @staticmethod
@@ -645,8 +677,7 @@ class TestImportFootprint:
         argv = ["calibrate", "--input", tame_csv, "--period", "T1", "--n-sim", "1000",
                 "--k-reps", "1", "--threads", "1", "--out", tmp_path / "out"]
         loaded = self.loaded_after(self.main_code(argv))
-        assert self.of_interest(loaded) == [
-            "numpy.random", "concurrent.futures", "numpy", *self.WRITER]
+        assert self.of_interest(loaded) == ["numpy.random", "numpy", *self.WRITER]
         assert self.package_modules(loaded) == {"cli", "cohorts", "csvio", "statdist",
                                                 "calibrator"}
 
@@ -699,10 +730,7 @@ def test_traced_benchmark_hooks(fixture_csv, history_csv, newdata_csv, csv_file,
         assert run_cli(["predict", "--history", history_csv, "--newdata", newdata_csv,
                         "--out", tmp_path / "p"]) == 0
     finally:
-        tracer.uninstall()
-        # uninstall sets the originals on cli, where they would shadow their defining modules
-        for name in cli._DEFINED_IN:
-            vars(cli).pop(name, None)
+        tracer.uninstall()  # which leaves the originals on cli, for conftest to remove
     sweeps = [s for s in tracer.spans if s.name == "calibrator.run_sweep"]
     assert len(sweeps) == 2 and all(s.attrs["pairs"] == 7 for s in sweeps)
     metrics = run.layer_metrics(tracer.spans, run.self_times(tracer.spans), 0, len(tracer.spans))
